@@ -2,7 +2,7 @@
 // memcached-ASCII front-end. A closed-loop load generator — C connections,
 // each a thread with its own AsciiClient replaying a seeded Zipf mix with
 // demand-fill semantics (get; on miss, set) — measures throughput and
-// per-op latency percentiles through the full stack: parser, poll loop,
+// per-op latency percentiles through the full stack: parser, event loop,
 // adapter, ShardedCacheServer.
 //
 // By default the server runs in-process on an ephemeral loopback port; with
@@ -15,7 +15,7 @@
 //        --connections LIST   comma-separated connection counts, e.g.
 //                             1,64,256,1024 — one scaling row per count
 //                             (default: sweep 1,2,4)
-//        --backend B          epoll | poll | uring event loop for the
+//        --backend B          epoll | uring event loop for the
 //                             in-process server (default epoll; ignored with
 //                             --connect, where the external daemon picked its
 //                             own). uring falls back to epoll when the kernel
@@ -460,18 +460,6 @@ std::vector<Row> RunMixLoad(const std::string& host, uint16_t port,
   return rows;
 }
 
-const char* BackendLabel(net::SocketBackend backend) {
-  switch (backend) {
-    case net::SocketBackend::kPoll:
-      return "poll";
-    case net::SocketBackend::kEpoll:
-      return "epoll";
-    case net::SocketBackend::kUring:
-      return "uring";
-  }
-  return "unknown";
-}
-
 void PrintJson(const Options& opt, const std::string& backend_label,
                const std::vector<Row>& rows) {
   std::printf("{\n");
@@ -579,14 +567,8 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--backend") == 0) {
       const char* v = next();
       if (v == nullptr) return 1;
-      if (std::strcmp(v, "epoll") == 0) {
-        opt.backend = net::SocketBackend::kEpoll;
-      } else if (std::strcmp(v, "poll") == 0) {
-        opt.backend = net::SocketBackend::kPoll;
-      } else if (std::strcmp(v, "uring") == 0) {
-        opt.backend = net::SocketBackend::kUring;
-      } else {
-        std::fprintf(stderr, "--backend expects epoll|poll|uring\n");
+      if (!net::ParseSocketBackend(v, &opt.backend)) {
+        std::fprintf(stderr, "--backend expects epoll|uring\n");
         return 1;
       }
     } else if (std::strcmp(argv[i], "--requests") == 0) {
@@ -664,7 +646,7 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--connect HOST:PORT] [--connections N[,N...]] "
-                   "[--backend epoll|poll|uring] [--requests N] [--universe N] "
+                   "[--backend epoll|uring] [--requests N] [--universe N] "
                    "[--get-fraction F] [--value-size N[,N...]] [--mix] "
                    "[--workers N] [--shards N] [--mode default|cliffhanger]\n",
                    argv[0]);
@@ -697,8 +679,9 @@ int Main(int argc, char** argv) {
   // What actually served the rows; refined to the effective backend once
   // the first in-process server is up (the probe result is stable across
   // rows on one host).
-  std::string backend_label =
-      opt.connect_host.empty() ? BackendLabel(opt.backend) : "external";
+  std::string backend_label = opt.connect_host.empty()
+                                  ? net::SocketBackendName(opt.backend)
+                                  : "external";
   for (const auto& [connections, value_size] : sweep) {
     std::string host = opt.connect_host;
     uint16_t port = opt.connect_port;
@@ -738,13 +721,14 @@ int Main(int argc, char** argv) {
       }
       host = "127.0.0.1";
       port = socket_server->port();
+      backend_label =
+          net::SocketBackendName(socket_server->effective_backend());
       if (socket_server->effective_backend() != opt.backend) {
         std::fprintf(stderr, "netperf: requested backend unavailable (%s); "
                      "rows record the %s fallback\n",
                      socket_server->backend_fallback_reason().c_str(),
-                     BackendLabel(socket_server->effective_backend()));
+                     backend_label.c_str());
       }
-      backend_label = BackendLabel(socket_server->effective_backend());
     }
     if (opt.mix) {
       std::vector<Row> mix_rows = RunMixLoad(host, port, opt, connections);

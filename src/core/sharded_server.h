@@ -5,13 +5,14 @@
 // incremental algorithms keep running unmodified under concurrent traffic.
 //
 // Concurrency model:
-//  - Get/Set/Delete lock only the shard the key hashes to.
-//  - A ShardBatch (BeginBatch) holds one shard's lock across a whole burst
-//    of operations, amortizing the acquisition; GetBatch/MutateBatch group
-//    an op array by shard and take one lock per shard touched. Ops on
-//    different shards act on disjoint cache state and same-key ops always
-//    hash to the same shard, so shard-grouped execution that preserves the
-//    per-shard op order yields the same cache state as sequential routing.
+//  - A ShardBatch (BeginBatch) holds one shard's lock across a burst of
+//    operations on that shard, amortizing the acquisition. The routed
+//    verbs (Get/Set/...) are each a one-op ShardBatch on the shard the key
+//    hashes to, so both paths share one locking and counting discipline.
+//    Ops on different shards act on disjoint cache state and same-key ops
+//    always hash to the same shard, so a caller that stable-sorts its ops
+//    by ShardForKey and opens one batch per shard gets the same cache
+//    state as routing them one at a time.
 //  - Aggregate statistics are mirrored into per-shard cache-line-padded
 //    atomic counters, so TotalStats() is a lock-free read; MergedStats()
 //    and the per-app accessors take every shard lock (in index order) for
@@ -77,11 +78,13 @@ class ShardedCacheServer {
   // Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
 
-  // Thread-safe routed operations; the app must have been added. Set
-  // returns true when the item was cacheable (same as CacheServer::Set).
-  // Touch refreshes expiry + recency of a resident item (no statistics
-  // mutation); Mutate is the op-based surface (kFill/kTouch/kErase, see
-  // cache/types.h) for drivers carrying an op stream.
+  // Thread-safe routed operations, each BeginBatch(ShardForKey(key)) plus
+  // the same-named ShardBatch verb. Like CacheServer's, they soft-fail on
+  // an unknown app. Set returns true when the item was cacheable (same as
+  // CacheServer::Set). Touch refreshes expiry + recency of a resident item
+  // (no statistics mutation); Mutate is the op-based surface
+  // (kFill/kTouch/kErase, see cache/types.h) for callers carrying an op
+  // stream, with CacheServer::Mutate's outcomes.
   Outcome Get(uint32_t app_id, const ItemMeta& item);
   bool Set(uint32_t app_id, const ItemMeta& item);
   bool Touch(uint32_t app_id, const ItemMeta& item);
@@ -113,9 +116,9 @@ class ShardedCacheServer {
   // already grouped its ops by shard pays one lock acquisition per burst
   // instead of one per op. Every key passed to a batch method MUST hash to
   // the batch's shard (asserted in debug builds). Statistics mirroring and
-  // the rebalance cadence are deferred to the destructor, which publishes
-  // the accumulated deltas after releasing the shard lock — exactly the
-  // ordering the single-op verbs use — and may fire Rebalance().
+  // the rebalance cadence are deferred to the destructor, which releases
+  // the shard lock, then publishes the accumulated deltas, then may fire
+  // Rebalance().
   class ShardBatch {
    public:
     ~ShardBatch();
@@ -124,7 +127,8 @@ class ShardedCacheServer {
     ShardBatch& operator=(const ShardBatch&) = delete;
     ShardBatch& operator=(ShardBatch&&) = delete;
 
-    // Same semantics and counting discipline as the routed verbs above.
+    // The verbs behind the routed ones above (same semantics); Mutate
+    // forwards to CacheServer::Mutate.
     Outcome Get(uint32_t app_id, const ItemMeta& item);
     bool Set(uint32_t app_id, const ItemMeta& item);
     bool Touch(uint32_t app_id, const ItemMeta& item);
@@ -174,22 +178,6 @@ class ShardedCacheServer {
 
   // Opens a batch on one shard (locks it until the ShardBatch dies).
   [[nodiscard]] ShardBatch BeginBatch(size_t shard_index);
-
-  // Array-based conveniences over ShardBatch: group the ops by shard
-  // (stable, so same-shard — and therefore same-key — order is preserved)
-  // and execute each group under a single lock acquisition. `outcomes`
-  // receives one entry per op, in the original array order.
-  struct BatchGet {
-    uint32_t app_id;
-    ItemMeta item;
-  };
-  struct BatchMutation {
-    uint32_t app_id;
-    MutateOp op;
-    ItemMeta item;
-  };
-  void GetBatch(const BatchGet* ops, size_t count, Outcome* outcomes);
-  void MutateBatch(const BatchMutation* ops, size_t count, Outcome* outcomes);
 
   [[nodiscard]] size_t num_shards() const { return num_shards_; }
   [[nodiscard]] size_t ShardForKey(uint64_t key) const {
@@ -256,7 +244,7 @@ class ShardedCacheServer {
   // Adds `n` to the shard's op counter and fires Rebalance() when the count
   // crosses a rebalance_interval_ops boundary (for n == 1 this is exactly
   // the classic "every interval-th op" trigger).
-  void BumpOpCount(Shard& shard, uint64_t n = 1);
+  void BumpOpCount(Shard& shard, uint64_t n);
   // fetch_adds the non-zero fields of `delta` into the shard's lock-free
   // counter mirror. Call after releasing the shard lock.
   void PublishDelta(Shard& shard, const ClassStats& delta);

@@ -157,7 +157,7 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
       zc->payload_size = vo.view.size;
       zc->trailer.append(kCrlf);
     } else {
-      // Copy path (poll backend, mixed bursts): the batch dies before the
+      // Copy path (mixed bursts, Handle()): the batch dies before the
       // response is written, so the payload must move into the text.
       const std::string_view data(vo.view.data, vo.view.size);
       if (with_cas) {
@@ -172,27 +172,6 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
   if (vo.expired) {
     get_expired_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void CacheAdapter::HandleGet(const Command& cmd, std::string* out,
-                             bool with_cas) {
-  const uint32_t now = Now();
-  for (const std::string_view key : cmd.keys) {
-    cmd_get_.fetch_add(1, std::memory_order_relaxed);
-    const RoutedKey rk = Route(key);
-    if (!rk.app_known) {
-      get_misses_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // One shard lock around the probe and the response serialization:
-    // concurrent same-key operations from other connections are
-    // serialized, and the borrowed view is copied out before the batch
-    // (and the lock) is released.
-    ShardedCacheServer::ShardBatch batch =
-        server_->BeginBatch(server_->ShardForKey(rk.key_id));
-    GetKeyLocked(batch, key, rk, now, with_cas, out, /*zc=*/nullptr);
-  }
-  out->append(kEndLine);
 }
 
 bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
@@ -297,17 +276,6 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
-void CacheAdapter::HandleStore(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  // Held across the presence peek and the store: without it, two same-key
-  // SETs of different sizes could interleave their cross-class moves.
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  StoreLocked(batch, cmd, rk, now, out);
-}
-
 // append/prepend: splice onto an existing value. The command line's flags
 // and exptime are parsed but ignored (memcached semantics); only existence
 // gates the store, and the result re-slabs through the core when the size
@@ -364,15 +332,6 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
-void CacheAdapter::HandleConcat(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  ConcatLocked(batch, cmd, rk, now, out);
-}
-
 void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, bool increment,
@@ -420,16 +379,6 @@ void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) AppendNumericLine(out, result);
 }
 
-void CacheAdapter::HandleArith(const Command& cmd, std::string* out,
-                               bool increment) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  ArithLocked(batch, cmd, rk, now, increment, out);
-}
-
 void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, std::string* out) {
@@ -450,15 +399,6 @@ void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
   }
 }
 
-void CacheAdapter::HandleTouch(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  TouchLocked(batch, cmd, rk, now, out);
-}
-
 void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
                                 const Command& cmd, const RoutedKey& rk,
                                 uint32_t now_s, std::string* out) {
@@ -473,15 +413,6 @@ void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
   } else {
     if (!cmd.noreply) out->append(kNotFoundLine);
   }
-}
-
-void CacheAdapter::HandleDelete(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  DeleteLocked(batch, cmd, rk, now, out);
 }
 
 void CacheAdapter::HandleFlushAll(const Command& cmd, std::string* out) {
@@ -565,7 +496,7 @@ void CacheAdapter::HandleStats(std::string* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst path (epoll backend): per-shard op batching, zero-copy GET
+// Sharded execution: per-shard op batching, zero-copy GET
 // ---------------------------------------------------------------------------
 
 // One shard-routed operation of a burst, bound to its response slot. A
@@ -585,7 +516,7 @@ namespace {
 
 // Commands whose effects are confined to one key's shard. Everything else
 // (stats/version/flush_all/quit/protocol errors) acts as a barrier and goes
-// through the sequential Handle() in stream order.
+// through Handle() in stream order.
 bool IsShardable(CommandType type) {
   switch (type) {
     case CommandType::kGet:
@@ -652,8 +583,8 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                                      size_t* used, bool pinned) {
   // Collection: expand commands into shard-routed ops and claim their
   // response slots in stream order. Admission (unknown app) and the
-  // command counters run here, before any lock, exactly as the sequential
-  // handlers do; Now() is read once per command, in command order.
+  // command counters run here, before any lock; Now() is read once per
+  // command, in command order.
   // Thread-local so the steady-state burst cycle reuses its capacity and
   // stays off the allocator (each worker runs its own bursts).
   static thread_local std::vector<BurstOp> ops;
@@ -669,7 +600,7 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
         const RoutedKey rk = Route(cmd.keys[k]);
         if (!rk.app_known) {
           get_misses_.fetch_add(1, std::memory_order_relaxed);
-          continue;  // slot stays empty, like the sequential loop
+          continue;  // slot stays empty: a silent miss
         }
         ops.push_back(BurstOp{&cmd, k, *used - 1, now, rk,
                               server_->ShardForKey(rk.key_id)});
@@ -700,7 +631,7 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
   // keeps concurrent pinning workers deadlock-free — so the zero-copy
   // payload spans stay valid until ReleaseBurstPins(); otherwise
   // ~ShardBatch publishes the counter deltas and bumps the rebalance
-  // cadence here, exactly like the sequential path.
+  // cadence here.
   size_t i = 0;
   while (i < ops.size()) {
     const size_t shard_index = ops[i].shard;
@@ -748,35 +679,17 @@ void CacheAdapter::ReleaseBurstPins() {
 }
 
 bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
+  if (IsShardable(cmd.type)) {
+    // A one-command, unpinned run: every response byte (GET payloads
+    // included) lands in the slots' text, which is concatenated into *out.
+    static thread_local std::vector<ResponseSegment> slots;
+    for (ResponseSegment& seg : slots) seg.Reset();
+    size_t used = 0;
+    ExecuteShardedRun(&cmd, 1, &slots, &used, /*pinned=*/false);
+    for (size_t i = 0; i < used; ++i) out->append(slots[i].text);
+    return true;
+  }
   switch (cmd.type) {
-    case CommandType::kGet:
-      HandleGet(cmd, out, /*with_cas=*/false);
-      return true;
-    case CommandType::kGets:
-      HandleGet(cmd, out, /*with_cas=*/true);
-      return true;
-    case CommandType::kSet:
-    case CommandType::kAdd:
-    case CommandType::kReplace:
-    case CommandType::kCas:
-      HandleStore(cmd, out);
-      return true;
-    case CommandType::kAppend:
-    case CommandType::kPrepend:
-      HandleConcat(cmd, out);
-      return true;
-    case CommandType::kIncr:
-      HandleArith(cmd, out, /*increment=*/true);
-      return true;
-    case CommandType::kDecr:
-      HandleArith(cmd, out, /*increment=*/false);
-      return true;
-    case CommandType::kTouch:
-      HandleTouch(cmd, out);
-      return true;
-    case CommandType::kDelete:
-      HandleDelete(cmd, out);
-      return true;
     case CommandType::kFlushAll:
       HandleFlushAll(cmd, out);
       return true;
@@ -798,8 +711,9 @@ bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
       // that count one response per non-noreply command.
       if (!cmd.noreply) AppendErrorLine(out, cmd.error);
       return true;
+    default:
+      return true;  // unreachable: shardable verbs returned above
   }
-  return true;
 }
 
 CacheAdapter::Counters CacheAdapter::counters() const {

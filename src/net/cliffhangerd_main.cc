@@ -52,7 +52,7 @@ void Usage(const char* argv0) {
       "usage: %s [options]\n"
       "  --port N          listen port (default 11311; 0 = ephemeral)\n"
       "  --workers N       connection worker threads (default 2)\n"
-      "  --backend B       epoll | poll | uring event loop (default epoll;\n"
+      "  --backend B       epoll | uring event loop (default epoll;\n"
       "                    uring falls back to epoll if the kernel denies\n"
       "                    io_uring — the banner reports what runs)\n"
       "  --shards N        cache shards (default 4)\n"
@@ -98,14 +98,7 @@ int Main(int argc, char** argv) {
       workers = parsed;
     } else if (std::strcmp(argv[i], "--backend") == 0) {
       const char* v = next();
-      if (v == nullptr) return Usage(argv[0]), 1;
-      if (std::strcmp(v, "epoll") == 0) {
-        backend = net::SocketBackend::kEpoll;
-      } else if (std::strcmp(v, "poll") == 0) {
-        backend = net::SocketBackend::kPoll;
-      } else if (std::strcmp(v, "uring") == 0) {
-        backend = net::SocketBackend::kUring;
-      } else {
+      if (v == nullptr || !net::ParseSocketBackend(v, &backend)) {
         return Usage(argv[0]), 1;
       }
     } else if (std::strcmp(argv[i], "--shards") == 0) {
@@ -243,22 +236,11 @@ int Main(int argc, char** argv) {
 
   // Banner reports the backend that actually runs (the io_uring probe may
   // have downgraded a uring request; SocketServer already logged why).
-  const char* backend_name = "poll";
-  switch (socket_server.effective_backend()) {
-    case net::SocketBackend::kPoll:
-      backend_name = "poll";
-      break;
-    case net::SocketBackend::kEpoll:
-      backend_name = "epoll";
-      break;
-    case net::SocketBackend::kUring:
-      backend_name = "uring";
-      break;
-  }
   std::fprintf(stderr,
                "cliffhangerd listening on port %u (%zu workers, %zu shards, "
                "%s backend, %s mode, %zu app%s)\n",
-               socket_server.port(), workers, shards, backend_name,
+               socket_server.port(), workers, shards,
+               net::SocketBackendName(socket_server.effective_backend()),
                cliffhanger_mode ? "cliffhanger" : "default", apps.size(),
                apps.size() == 1 ? "" : "s");
   while (!g_stop.load()) {

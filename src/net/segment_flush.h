@@ -7,7 +7,7 @@
 // buffer, copying the payload bytes because the arena borrow ends when the
 // flush returns. The cursor arithmetic (segment index, piece index, offset
 // within the piece) and the spill are identical whether the bytes move via
-// writev(2) (poll/epoll backends) or an io_uring SENDMSG completion (uring
+// writev(2) (epoll backend) or an io_uring SENDMSG completion (uring
 // backend), so they live here once, templated on the write primitive, and
 // are unit-tested for mid-segment resume without a socket in sight
 // (tests/segment_flush_test.cc).

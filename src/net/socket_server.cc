@@ -53,6 +53,29 @@ void DrainWakePipe(int fd) {
 
 }  // namespace
 
+const char* SocketBackendName(SocketBackend backend) {
+  switch (backend) {
+    case SocketBackend::kPoll:
+      return "poll";
+    case SocketBackend::kEpoll:
+      return "epoll";
+    case SocketBackend::kUring:
+      return "uring";
+  }
+  return "unknown";
+}
+
+bool ParseSocketBackend(std::string_view name, SocketBackend* backend) {
+  if (name == "epoll") {
+    *backend = SocketBackend::kEpoll;
+  } else if (name == "uring") {
+    *backend = SocketBackend::kUring;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 // One TCP connection, owned by exactly one worker thread.
 struct SocketServer::Connection {
   int fd = -1;
@@ -79,9 +102,9 @@ struct SocketServer::Connection {
 
 struct SocketServer::Worker {
   std::thread thread;
-  int wake_rd = -1;  // poll/epoll backends; uring workers wake via eventfd
+  int wake_rd = -1;  // epoll backend; uring workers wake via eventfd
   int wake_wr = -1;
-  int epfd = -1;  // epoll backend only; -1 under kPoll/kUring
+  int epfd = -1;  // epoll backend only; -1 under kUring
   // Queued-plus-open connection count: bumped by the acceptor at dispatch,
   // dropped at close. The acceptor routes each new fd to the worker with
   // the smallest load.
@@ -191,9 +214,12 @@ bool SocketServer::Start(std::string* error) {
   // surface here, not per worker) plus an opcode check for everything the
   // backend arms. Any gap falls back to epoll with a logged reason —
   // restricted kernels, seccomp policies and old containers still serve.
+  // kPoll has no loop and always takes the fallback.
   effective_backend_ = config_.backend;
   fallback_reason_.clear();
-  if (config_.backend == SocketBackend::kUring) {
+  if (config_.backend == SocketBackend::kPoll) {
+    fallback_reason_ = "no poll(2) loop";
+  } else if (config_.backend == SocketBackend::kUring) {
 #if CLIFFHANGER_HAS_IO_URING
     std::string reason;
     UringQueue probe;
@@ -208,13 +234,13 @@ bool SocketServer::Start(std::string* error) {
 #else
     fallback_reason_ = "built without <linux/io_uring.h>";
 #endif
-    if (!fallback_reason_.empty()) {
-      effective_backend_ = SocketBackend::kEpoll;
-      std::fprintf(stderr,
-                   "cliffhanger/net: io_uring unavailable (%s); falling back "
-                   "to epoll\n",
-                   fallback_reason_.c_str());
-    }
+  }
+  if (!fallback_reason_.empty()) {
+    effective_backend_ = SocketBackend::kEpoll;
+    std::fprintf(stderr,
+                 "cliffhanger/net: %s backend unavailable (%s); falling "
+                 "back to epoll\n",
+                 SocketBackendName(config_.backend), fallback_reason_.c_str());
   }
 
   const size_t n_workers = std::max<size_t>(1, config_.num_workers);
@@ -256,18 +282,15 @@ bool SocketServer::Start(std::string* error) {
     if (::pipe2(wake, O_NONBLOCK | O_CLOEXEC) != 0) return fail("pipe2");
     worker->wake_rd = wake[0];
     worker->wake_wr = wake[1];
-    if (effective_backend_ == SocketBackend::kEpoll) {
-      worker->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (worker->epfd < 0) return fail("epoll_create1");
-      // The wake pipe is the one permanent registration; data.ptr == nullptr
-      // distinguishes it from connections.
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = nullptr;
-      if (::epoll_ctl(worker->epfd, EPOLL_CTL_ADD, worker->wake_rd, &ev) !=
-          0) {
-        return fail("epoll_ctl(wake)");
-      }
+    worker->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (worker->epfd < 0) return fail("epoll_create1");
+    // The wake pipe is the one permanent registration; data.ptr == nullptr
+    // distinguishes it from connections.
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = nullptr;
+    if (::epoll_ctl(worker->epfd, EPOLL_CTL_ADD, worker->wake_rd, &ev) != 0) {
+      return fail("epoll_ctl(wake)");
     }
     workers_.push_back(std::move(worker));
   }
@@ -287,16 +310,10 @@ bool SocketServer::Start(std::string* error) {
 #endif
   for (auto& worker : workers_) {
     Worker* w = worker.get();
-    switch (effective_backend_) {
-      case SocketBackend::kUring:
-        w->thread = std::thread([this, w] { WorkerLoopUring(w); });
-        break;
-      case SocketBackend::kEpoll:
-        w->thread = std::thread([this, w] { WorkerLoopEpoll(w); });
-        break;
-      case SocketBackend::kPoll:
-        w->thread = std::thread([this, w] { WorkerLoop(w); });
-        break;
+    if (effective_backend_ == SocketBackend::kUring) {
+      w->thread = std::thread([this, w] { WorkerLoopUring(w); });
+    } else {
+      w->thread = std::thread([this, w] { WorkerLoopEpoll(w); });
     }
   }
   acceptor_ = std::thread([this] {
@@ -439,55 +456,20 @@ void SocketServer::AdoptIncoming(Worker* worker) {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->index = worker->conns.size();
-    if (worker->epfd >= 0) {
-      // Registered exactly once; later interest changes go through
-      // EPOLL_CTL_MOD in UpdateEpollInterest.
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = conn.get();
-      if (::epoll_ctl(worker->epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        ::close(fd);
-        worker->load.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      conn->armed = EPOLLIN;
+    // Registered exactly once; later interest changes go through
+    // EPOLL_CTL_MOD in UpdateEpollInterest.
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = conn.get();
+    if (::epoll_ctl(worker->epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      ::close(fd);
+      worker->load.fetch_sub(1, std::memory_order_relaxed);
+      continue;
     }
+    conn->armed = EPOLLIN;
     worker->conns.push_back(std::move(conn));
     active_connections_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-bool SocketServer::DrainCommands(Connection* conn) {
-  bool backpressured = false;
-  Command cmd;  // hoisted: Next resets it in place, keys keeps capacity
-  while (true) {
-    if (conn->wr.size() - conn->wr_offset >= config_.max_write_buffer) {
-      // Stop producing responses until the peer drains some; any complete
-      // frames still in rd are picked up after the next flush.
-      backpressured = true;
-      break;
-    }
-    const std::string_view unparsed(conn->rd.data() + conn->rd_offset,
-                                    conn->rd.size() - conn->rd_offset);
-    size_t consumed = 0;
-    const ParseStatus status = conn->parser.Next(unparsed, &consumed, &cmd);
-    conn->rd_offset += consumed;
-    if (status == ParseStatus::kCommand) {
-      if (!handler_->Handle(cmd, &conn->wr)) return false;
-      continue;
-    }
-    if (consumed > 0) continue;  // resync progress; try again on this buffer
-    break;                       // genuinely need more bytes
-  }
-  // Compact: discard the parsed prefix once per drain, not per command.
-  if (conn->rd_offset > 0) {
-    conn->rd.erase(0, conn->rd_offset);
-    conn->rd_offset = 0;
-  }
-  if (backpressured) return true;  // rd may legitimately hold whole frames
-  // A frame that cannot complete within the cap means a broken or hostile
-  // client; cut it off rather than buffering without bound.
-  return conn->rd.size() <= config_.max_read_buffer;
 }
 
 size_t SocketServer::CollectBurst(Connection* conn,
@@ -576,10 +558,8 @@ void SocketServer::MaybeReleaseBuffers(Connection* conn) {
 }
 
 void SocketServer::CloseConnection(Worker* worker, size_t index) {
-  // Swap-remove keeps close O(1); safe inside the poll backend's backwards
-  // sweep because the element moved down came from a higher slot that was
-  // already visited, and safe for epoll because events carry stable
-  // Connection pointers, not indexes.
+  // Swap-remove keeps close O(1); safe because epoll events and uring CQEs
+  // carry stable Connection pointers, not indexes.
   ::close(worker->conns[index]->fd);
   if (index + 1 < worker->conns.size()) {
     worker->conns[index] = std::move(worker->conns.back());
@@ -594,99 +574,6 @@ void SocketServer::CloseConnection(Worker* worker, size_t index) {
       accept_wake_[1] >= 0) {
     const char b = 'x';
     [[maybe_unused]] ssize_t n = ::write(accept_wake_[1], &b, 1);
-  }
-}
-
-void SocketServer::WorkerLoop(Worker* worker) {
-  std::vector<pollfd> fds;
-  std::vector<char> read_buf(kReadChunk);
-  while (!stopping_.load()) {
-    fds.clear();
-    fds.push_back({worker->wake_rd, POLLIN, 0});
-    for (const auto& conn : worker->conns) {
-      // Stop arming POLLIN once the read buffer is full (it can only be
-      // full while write-backpressured — otherwise DrainCommands already
-      // closed the connection): reading further would grow rd without
-      // bound on a client that pipelines but never drains responses.
-      // No stall: rd-full implies wr non-empty, so POLLOUT stays armed
-      // and the parse cycle resumes after every flush.
-      short events = 0;
-      if (!conn->closing && !conn->peer_eof &&
-          conn->rd.size() <= config_.max_read_buffer) {
-        events |= POLLIN;
-      }
-      if (!conn->wr.empty()) events |= POLLOUT;
-      fds.push_back({conn->fd, events, 0});
-    }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (stopping_.load()) break;
-
-    if (fds[0].revents & POLLIN) {
-      DrainWakePipe(worker->wake_rd);
-      AdoptIncoming(worker);
-    }
-
-    // Iterate backwards so CloseConnection's swap-remove cannot skip an
-    // entry. fds[i + 1] corresponds to conns[i] for the pre-mailbox prefix.
-    const size_t polled = fds.size() - 1;
-    for (size_t i = polled; i-- > 0;) {
-      if (i >= worker->conns.size()) continue;
-      Connection* conn = worker->conns[i].get();
-      const short revents = fds[i + 1].revents;
-      if (revents == 0) continue;
-      if (revents & (POLLERR | POLLNVAL)) {
-        CloseConnection(worker, i);
-        continue;
-      }
-      bool alive = true;
-      if (!conn->closing && !conn->peer_eof &&
-          (revents & (POLLIN | POLLHUP)) &&
-          conn->rd.size() <= config_.max_read_buffer) {
-        while (true) {
-          const ssize_t n = ::recv(conn->fd, read_buf.data(),
-                                   read_buf.size(), 0);
-          if (n > 0) {
-            conn->rd.append(read_buf.data(), static_cast<size_t>(n));
-            if (conn->rd.size() > config_.max_read_buffer) break;
-            continue;
-          }
-          if (n == 0) {
-            conn->peer_eof = true;
-            break;
-          }
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          alive = false;
-          break;
-        }
-      }
-      if (alive && !conn->wr.empty()) alive = FlushWrites(conn);
-      // Parse → respond → flush until no complete frame remains or write
-      // backpressure holds (POLLOUT resumes the cycle on a later event).
-      // Runs even after EOF — including EOF seen during an earlier,
-      // backpressured iteration: a client may pipeline its whole session
-      // and FIN immediately (printf | nc); every buffered command still
-      // deserves its response before the close below.
-      while (alive && !conn->closing &&
-             conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
-        const size_t rd_before = conn->rd.size();
-        if (!DrainCommands(conn)) conn->closing = true;
-        if (alive && !conn->wr.empty()) alive = FlushWrites(conn);
-        if (conn->rd.size() == rd_before) break;  // nothing consumable left
-      }
-      MaybeReleaseBuffers(conn);
-      // peer_eof close only fires once wr is fully flushed, and the cycle
-      // above only leaves wr empty when no complete frame remains — so no
-      // buffered command is ever dropped.
-      if (!alive ||
-          ((conn->closing || conn->peer_eof) && conn->wr.empty())) {
-        CloseConnection(worker, i);
-      }
-    }
   }
 }
 
@@ -746,8 +633,10 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
   // response segments, repeat until the buffered frames are gone or write
   // backpressure holds (EPOLLOUT resumes the cycle on a later event). The
   // parsed Commands alias rd, so compaction waits until the cycle ends.
-  // Like the poll loop, this runs even after EOF: pipelined sessions that
-  // FIN immediately still get every buffered response.
+  // This runs even after EOF — including EOF seen during an earlier,
+  // backpressured wakeup: a client may pipeline its whole session and FIN
+  // at once (printf | nc), and every buffered command still deserves its
+  // response before the close below.
   while (alive && !conn->closing &&
          conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
     const size_t frames = CollectBurst(conn, cmds);
@@ -771,9 +660,9 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
     conn->rd.erase(0, conn->rd_offset);
     conn->rd_offset = 0;
   }
-  // Abuse guard, same rule as DrainCommands: a frame that cannot complete
-  // within the read cap — and is not merely waiting out write
-  // backpressure — means a broken or hostile client.
+  // Abuse guard: a frame that cannot complete within the read cap — and is
+  // not merely waiting out write backpressure — means a broken or hostile
+  // client; cut it off rather than buffering without bound.
   if (alive && !conn->closing &&
       conn->wr.size() - conn->wr_offset < config_.max_write_buffer &&
       conn->rd.size() > config_.max_read_buffer) {

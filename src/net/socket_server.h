@@ -4,7 +4,9 @@
 // about caches — it feeds parsed Commands to a CommandHandler and writes
 // back whatever the handler appended.
 //
-// Three event-loop backends, selected by SocketServerConfig::backend:
+// Two event-loop backends, selected by SocketServerConfig::backend, share
+// one burst cycle (CollectBurst -> CommandHandler::HandleBatch -> flush the
+// response segments) and differ only in how they wait and move bytes:
 //  - kEpoll (default): each worker owns an epoll instance; connections are
 //    registered once at adoption, and interest (EPOLLIN/EPOLLOUT) is only
 //    re-armed via EPOLL_CTL_MOD when it actually changes — no per-iteration
@@ -22,15 +24,17 @@
 //    SQE instead of calling accept4 per connection. Requires kernel
 //    support, probed at Start(); otherwise falls back to kEpoll with a
 //    logged reason so restricted kernels/containers still serve.
-//  - kPoll: the original poll(2) loop, kept as the A/B baseline; it rebuilds
-//    its pollfd array per wakeup and calls Handle() per command.
+// SocketBackend::kPoll has no loop: Start() resolves it to kEpoll through
+// the same fallback, with a reason. It stays declared so that code naming
+// it still compiles.
 //
 // Connection lifecycle (both backends):
-//  - The acceptor poll()s the listen socket, drains accept4 until EAGAIN in
-//    batches, sets O_NONBLOCK + TCP_NODELAY, and hands each fd to the
-//    least-loaded worker via a mutexed mailbox + wake pipe. On EMFILE or
-//    ENFILE it backs off polling the wake pipe (so Stop() and fd-freeing
-//    closes interrupt the backoff instead of waiting out a sleep).
+//  - The acceptor waits on the listen socket (poll(2) under kEpoll, a
+//    multishot accept SQE under kUring), takes connections in batches,
+//    sets O_NONBLOCK + TCP_NODELAY, and hands each fd to the least-loaded
+//    worker via a mutexed mailbox + wake. On EMFILE or ENFILE it backs off
+//    waiting on the wake pipe (so Stop() and fd-freeing closes interrupt
+//    the backoff instead of waiting out a sleep).
 //  - Reads append to the connection's read buffer; the parse loop drains
 //    every complete pipelined frame. Partial frames stay buffered; partial
 //    writes stay queued. Buffers that ballooned past
@@ -45,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -78,7 +83,9 @@ class CommandHandler {
  public:
   virtual ~CommandHandler() = default;
   // Appends the response for `cmd` (if any) to *out. Returns false to close
-  // the connection after *out is flushed (quit).
+  // the connection after *out is flushed (quit). The server never calls
+  // it (every backend runs bursts through HandleBatch); it stays part of
+  // the interface for handlers and callers that work one command at a time.
   virtual bool Handle(const Command& cmd, std::string* out) = 0;
   // Handles a burst of pipelined commands, filling response segments so the
   // caller can writev them without concatenating. A command may produce
@@ -91,18 +98,10 @@ class CommandHandler {
   // contribute no bytes. Segment order must match command order (pipelined
   // clients rely on response order and read-your-write within a burst).
   // Returns false to close the connection after the segments filled so far
-  // are flushed; remaining commands are dropped, matching the sequential
-  // quit semantics. The default forwards to Handle() one command at a
-  // time; handlers with a cheaper batched path (per-shard lock
-  // amortization, zero-copy payloads) override it.
+  // are flushed; remaining commands are dropped, as if `quit` had closed a
+  // one-command-at-a-time session.
   virtual bool HandleBatch(const Command* cmds, size_t count,
-                           std::vector<ResponseSegment>* segments) {
-    for (size_t i = 0; i < count; ++i) {
-      if (segments->size() == i) segments->emplace_back();
-      if (!Handle(cmds[i], &(*segments)[i].text)) return false;
-    }
-    return true;
-  }
+                           std::vector<ResponseSegment>* segments) = 0;
   // Called after every FlushSegments for a burst whose segments this
   // handler produced — the borrowed payload spans are dead from here on.
   // Handlers that pinned shard locks to keep those spans alive release
@@ -111,8 +110,7 @@ class CommandHandler {
 };
 
 enum class SocketBackend : uint8_t {
-  kPoll,   // original poll(2) loop: pollfd rebuild per wakeup, per-command
-           // Handle() — the A/B baseline
+  kPoll,   // no loop of its own: Start() falls back to kEpoll with a reason
   kEpoll,  // epoll + burst batching: register-once, HandleBatch, writev
   kUring,  // io_uring: same burst model, but reads complete into a
            // kernel-selected provided-buffer group, burst responses go out
@@ -121,6 +119,13 @@ enum class SocketBackend : uint8_t {
            // back to kEpoll at Start() (with a logged reason) when the
            // kernel or a seccomp policy denies io_uring.
 };
+
+// The command-line spelling of a backend ("epoll", "uring"; "poll" for
+// kPoll), and its inverse for --backend flags. The parser accepts only the
+// two backends that serve: "epoll" and "uring".
+[[nodiscard]] const char* SocketBackendName(SocketBackend backend);
+[[nodiscard]] bool ParseSocketBackend(std::string_view name,
+                                      SocketBackend* backend);
 
 struct SocketServerConfig {
   uint16_t port = 0;  // 0 = ephemeral; the bound port is port() after Start
@@ -133,12 +138,11 @@ struct SocketServerConfig {
   // worker stops parsing further pipelined commands until the peer drains
   // some (a non-reading client must not balloon server memory). Parsing
   // resumes automatically after a flush makes room. The check runs between
-  // commands (poll) or bursts (epoll), so the true per-connection bound is
-  // this cap plus one command's or burst's worst-case response — both
-  // bounded by kMaxKeysPerGet × kMaxValueBytes (a burst is capped at
-  // kMaxKeysPerGet key-ops, see max_burst_frames).
+  // bursts, so the true per-connection bound is this cap plus one burst's
+  // worst-case response, bounded by kMaxKeysPerGet × kMaxValueBytes (a
+  // burst is capped at kMaxKeysPerGet key-ops, see max_burst_frames).
   size_t max_write_buffer = 4 * (1 << 20);
-  // Epoll backend: max pipelined frames handed to one HandleBatch call.
+  // Max pipelined frames handed to one HandleBatch call.
   // A burst is additionally capped at kMaxKeysPerGet key-operations (a
   // multiget counts each key), so a burst's worst-case response volume
   // never exceeds the single-command worst case the write cap documents.
@@ -178,14 +182,15 @@ class SocketServer {
 
   [[nodiscard]] uint16_t port() const { return port_; }
   [[nodiscard]] bool running() const { return running_.load(); }
-  // The backend actually serving after Start(): differs from the configured
-  // one exactly when kUring was requested but the runtime probe (ring init
-  // + opcode check) failed and the server fell back to epoll.
+  // The backend actually serving after Start(): kEpoll or kUring. Differs
+  // from the configured one exactly when the server fell back to epoll:
+  // kPoll always does, kUring does when the runtime probe (ring init +
+  // opcode check) fails.
   [[nodiscard]] SocketBackend effective_backend() const {
     return effective_backend_;
   }
-  // Non-empty exactly when a kUring request fell back to epoll; the same
-  // text is logged to stderr at Start().
+  // Non-empty exactly when a kPoll or kUring request fell back to epoll;
+  // the same text is logged to stderr at Start().
   [[nodiscard]] const std::string& backend_fallback_reason() const {
     return fallback_reason_;
   }
@@ -209,7 +214,7 @@ class SocketServer {
   // submissions, and total SQEs they carried, summed over every worker ring
   // and the acceptor ring. The batching proof asserts submits stays far
   // below the op count (reads, writes, and re-arms share submits) while
-  // sqes_per_submit > 1. Both are 0 under poll/epoll or after fallback.
+  // sqes_per_submit > 1. Both are 0 under epoll, including after fallback.
   [[nodiscard]] uint64_t uring_submit_calls() const;
   [[nodiscard]] uint64_t uring_submitted_sqes() const;
 
@@ -227,8 +232,7 @@ class SocketServer {
   // Distributes a batch of accepted fds to the least-loaded workers (one
   // mailbox lock and one wake byte per worker touched, not per fd).
   void DispatchAccepted(std::vector<int>* fds);
-  void WorkerLoop(Worker* worker);        // poll(2) backend
-  void WorkerLoopEpoll(Worker* worker);   // epoll burst backend
+  void WorkerLoopEpoll(Worker* worker);  // epoll burst backend
   // io_uring burst backend: a CQE pump. Reads complete into the worker's
   // provided-buffer group (zero syscalls per read), each completed read
   // runs the same CollectBurst → HandleBatch → flush cycle, burst
@@ -237,8 +241,8 @@ class SocketServer {
   // drains via an async SEND of the stable write buffer, and every re-arm
   // rides the next submit.
   void WorkerLoopUring(Worker* worker);
-  // Moves mailbox fds into owned connections (registering them with the
-  // worker's epoll instance when it has one).
+  // Moves mailbox fds into owned connections, registering each with the
+  // worker's epoll instance.
   void AdoptIncoming(Worker* worker);
   // Epoll backend: full service of one connection event — drain reads,
   // flush, run the burst cycle (CollectBurst → HandleBatch →
@@ -255,11 +259,6 @@ class SocketServer {
   // the desired event set differs from what is currently armed.
   static void UpdateEpollInterest(Worker* worker, Connection* conn,
                                   uint32_t desired);
-  // Parse + handle complete frames in the read buffer until none remain or
-  // the write buffer hits its cap (backpressure; complete frames may stay
-  // buffered and are resumed after a flush). Returns false when the
-  // connection must close (quit or protocol abuse). Poll backend only.
-  bool DrainCommands(Connection* conn);
   // Non-blocking flush of the write buffer. Returns false on a dead socket.
   static bool FlushWrites(Connection* conn);
   // Non-blocking writev of the queued write buffer plus the first `count`
@@ -306,13 +305,13 @@ class SocketServer {
   static void ProvideUringBuffer(UringState* u, unsigned bid);
   static void QueueUringCancel(UringState* u, uint64_t target);
   // Backend-appropriate worker wake: an 8-byte eventfd write (uring) or a
-  // wake-pipe byte (poll/epoll).
+  // wake-pipe byte (epoll).
   static void WakeWorker(Worker* worker);
 
   SocketServerConfig config_;
   CommandHandler* handler_;
-  // Set by Start(): config_.backend, unless a kUring request failed the
-  // runtime probe and fell back to kEpoll.
+  // Set by Start(): config_.backend, unless it fell back to kEpoll (kPoll
+  // always; kUring when the runtime probe fails).
   SocketBackend effective_backend_ = SocketBackend::kEpoll;
   std::string fallback_reason_;
 
@@ -333,7 +332,7 @@ class SocketServer {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
   // Uring backend: the acceptor's own small ring (multishot accept + wake
-  // pipe read + EMFILE backoff timeout). Null under poll/epoll or fallback.
+  // pipe read + EMFILE backoff timeout). Null under epoll or fallback.
   std::unique_ptr<UringState> accept_uring_;
 };
 

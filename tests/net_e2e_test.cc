@@ -42,14 +42,13 @@ namespace {
 
 constexpr uint64_t kMiB = 1ULL << 20;
 
-// Every test runs once per event-loop backend: the poll(2) baseline, the
-// epoll burst loop and the io_uring backend must be behaviorally
-// indistinguishable on the wire (the burst backends batch per-shard
-// downstream and uring batches syscalls on top, so this triples as the A/B
-// proof that neither batching layer distorts responses). kUring runs fall
-// back to epoll transparently when the kernel denies io_uring — the
-// fixture still exercises the probe + fallback path in that case, and the
-// uring-specific assertions skip themselves.
+// Every test runs once per event-loop backend: the epoll burst loop and the
+// io_uring backend must be behaviorally indistinguishable on the wire (both
+// batch per-shard downstream and uring batches syscalls on top, so this
+// doubles as the A/B proof that the syscall batching distorts no
+// response). kUring runs fall back to epoll transparently when the kernel
+// denies io_uring — the fixture still exercises the probe + fallback path
+// in that case, and the uring-specific assertions skip themselves.
 class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
  protected:
   void StartServer(
@@ -118,20 +117,11 @@ class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
 
 std::string BackendName(
     const ::testing::TestParamInfo<net::SocketBackend>& info) {
-  switch (info.param) {
-    case net::SocketBackend::kPoll:
-      return "Poll";
-    case net::SocketBackend::kEpoll:
-      return "Epoll";
-    case net::SocketBackend::kUring:
-      return "Uring";
-  }
-  return "Unknown";
+  return info.param == net::SocketBackend::kUring ? "Uring" : "Epoll";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, NetE2eTest,
-                         ::testing::Values(net::SocketBackend::kPoll,
-                                           net::SocketBackend::kEpoll,
+                         ::testing::Values(net::SocketBackend::kEpoll,
                                            net::SocketBackend::kUring),
                          BackendName);
 
@@ -1023,8 +1013,8 @@ TEST_P(NetE2eTest, ThousandPipelinedConnectionsKeepTranscriptsExact) {
   // slow). Every connection pipelines one multi-verb burst whose full
   // response transcript is known in advance; any dropped, duplicated or
   // reordered response — across connections or within a burst — breaks an
-  // exact line match. This is the backend A/B soak for the epoll burst
-  // path against the poll baseline.
+  // exact line match. This is the backend A/B soak for the epoll and
+  // io_uring burst paths.
 #ifdef CLIFFHANGER_SANITIZED
   constexpr size_t kConns = 128;
 #else
@@ -1726,7 +1716,7 @@ TEST_P(NetE2eTest, FullVerbSocketReplayIsBitIdenticalToLibraryReplay) {
 }
 
 TEST_P(NetE2eTest, EffectiveBackendAndFallbackReasonAreConsistent) {
-  // poll/epoll never fall back; a kUring request either comes up on the
+  // epoll never falls back; a kUring request either comes up on the
   // ring (no reason logged) or degrades to epoll with a reason — and the
   // server must serve traffic identically either way.
   StartDefaultServer();
@@ -1750,6 +1740,34 @@ TEST_P(NetE2eTest, EffectiveBackendAndFallbackReasonAreConsistent) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->data, "ebv");
   client.Quit();
+}
+
+// kPoll has no loop: a server configured with it must come up on epoll,
+// say why, and serve.
+TEST(NetBackendFallback, PollRequestServesOnEpollWithReason) {
+  ShardedServerConfig config;
+  config.server = DefaultServerConfig();
+  config.server.store_values = true;
+  config.num_shards = 2;
+  ShardedCacheServer server(config);
+  server.AddApp(1, 8 * kMiB);
+  net::CacheAdapter adapter(&server, net::CacheAdapterConfig{});
+  net::SocketServerConfig net_config;
+  net_config.backend = net::SocketBackend::kPoll;
+  net::SocketServer socket_server(net_config, &adapter);
+  std::string error;
+  ASSERT_TRUE(socket_server.Start(&error)) << error;
+  EXPECT_EQ(socket_server.effective_backend(), net::SocketBackend::kEpoll);
+  EXPECT_FALSE(socket_server.backend_fallback_reason().empty());
+
+  net::AsciiClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", socket_server.port()));
+  ASSERT_EQ(client.Set("pk", "pv"), net::AsciiClient::StoreResult::kStored);
+  const auto got = client.Get("pk");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->data, "pv");
+  client.Quit();
+  socket_server.Stop();
 }
 
 TEST_P(NetE2eTest, UringBatchesManySqesPerSubmit) {

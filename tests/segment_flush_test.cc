@@ -1,5 +1,5 @@
 // Unit tests for the shared partial-write bookkeeping (net/segment_flush.h)
-// that all three socket backends run their burst flushes through. No
+// that both socket backends run their burst flushes through. No
 // sockets: write_some is a fake with a programmable byte budget, so the
 // tests can park the cursor mid-segment (even mid-payload) and prove the
 // spill + resume reproduce the byte stream exactly.

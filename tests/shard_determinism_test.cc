@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/sharded_server.h"
@@ -43,10 +44,17 @@ ClassStats ReplaySharded(ShardedCacheServer& server, const Trace& trace) {
   return server.AppStats(kAppId);
 }
 
+// gtest prints a parameter type that has no PrintTo overload as its raw
+// bytes, and that printout is part of each listed test name. Implicit
+// padding after `mode` would print whatever the stack held, so the name
+// would change from run to run; the padding is spelled out and zeroed.
 struct ShardCase {
   AllocationMode mode;
+  uint8_t zero_padding[7] = {};
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<ShardCase>,
+              "ShardCase must have no padding bytes");
 
 class ShardDeterminism : public ::testing::TestWithParam<ShardCase> {
  protected:
@@ -95,8 +103,9 @@ TEST_P(ShardDeterminism, HitRateSurvivesSharding) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ShardDeterminism,
-    ::testing::Values(ShardCase{AllocationMode::kFcfs, "Fcfs"},
-                      ShardCase{AllocationMode::kCliffhanger, "Cliffhanger"}),
+    ::testing::Values(ShardCase{AllocationMode::kFcfs, {}, "Fcfs"},
+                      ShardCase{AllocationMode::kCliffhanger, {},
+                                "Cliffhanger"}),
     [](const ::testing::TestParamInfo<ShardCase>& info) {
       return std::string(info.param.name);
     });

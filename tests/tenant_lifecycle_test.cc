@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "core/cache_server.h"
+#include "core/sharded_server.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "workload/zipf.h"
@@ -95,6 +96,45 @@ TEST(TenantLifecycle, RoutedVerbsSoftFailOnUnknownApp) {
   EXPECT_FALSE(server.Touch(1, Item(7)));
   server.Delete(1, Item(7));  // no-op, must not crash
   EXPECT_FALSE(server.Mutate(1, MutateOp::kTouch, Item(7)).hit);
+}
+
+TEST(TenantLifecycle, MutateOnUnknownAppAgreesAcrossLayers) {
+  // An op racing a RemoveApp may land on a bare CacheServer, a routed
+  // ShardedCacheServer verb or an open ShardBatch; all three must read it
+  // the same way — an uncacheable miss that counts nothing — for every op.
+  CacheServer bare(CrossAppConfig());
+  ShardedServerConfig sharded_config;
+  sharded_config.server = CrossAppConfig();
+  sharded_config.num_shards = 4;
+  ShardedCacheServer sharded(sharded_config);
+  bare.AddApp(1, 1 << 20);
+  bare.RemoveApp(1);
+  sharded.AddApp(1, 1 << 20);
+  sharded.RemoveApp(1);
+
+  const ItemMeta item = Item(7);
+  for (const MutateOp op :
+       {MutateOp::kFill, MutateOp::kTouch, MutateOp::kErase}) {
+    const Outcome expected = bare.Mutate(1, op, item);
+    EXPECT_FALSE(expected.cacheable) << static_cast<int>(op);
+    EXPECT_FALSE(expected.hit) << static_cast<int>(op);
+    const Outcome routed = sharded.Mutate(1, op, item);
+    Outcome batched;
+    {
+      ShardedCacheServer::ShardBatch batch =
+          sharded.BeginBatch(sharded.ShardForKey(item.key));
+      batched = batch.Mutate(1, op, item);
+    }
+    for (const Outcome& got : {routed, batched}) {
+      EXPECT_EQ(got.cacheable, expected.cacheable) << static_cast<int>(op);
+      EXPECT_EQ(got.hit, expected.hit) << static_cast<int>(op);
+      EXPECT_EQ(got.region, expected.region) << static_cast<int>(op);
+      EXPECT_EQ(got.slab_class, expected.slab_class) << static_cast<int>(op);
+      EXPECT_EQ(got.expired, expected.expired) << static_cast<int>(op);
+    }
+  }
+  EXPECT_EQ(sharded.TotalStats().sets, 0u);
+  EXPECT_TRUE(sharded.CheckInvariants());
 }
 
 TEST(TenantLifecycle, RemoveAppReclaimsValueStorageEagerly) {
