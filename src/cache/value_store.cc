@@ -68,20 +68,45 @@ void ValueStore::RegisterShadow(uint64_t key, int slab_class) {
   }
 }
 
-void ValueStore::RewriteInPlace(const Ref& ref, const void* data,
-                                uint32_t size, uint32_t flags, uint64_t cas,
+void ValueStore::RewriteInPlace(uint64_t key, const Ref& ref,
+                                const void* data, uint32_t size,
+                                uint32_t flags, uint64_t cas,
                                 uint32_t stored_s) {
   assert(ref.has_slot());
   ValueArena& arena = *arenas_[ref.slab_class];
   assert(size <= arena.payload_capacity());
-  ValueArena::SlotHeader* h = arena.header(ref.slot);
-  value_bytes_ += size;
-  value_bytes_ -= h->value_size;
+  uint32_t slot = ref.slot;
+  value_bytes_ -= arena.header(slot)->value_size;
+  if (arena.leased(slot)) {
+    // Copy on write: a borrower still reads the old bytes, so the new value
+    // takes a fresh slot and the old one retires until its last lease.
+    slot = arena.Allocate();
+    assert(slot < kNoSlot);
+    arena.Free(ref.slot);
+    index_.Replace(key, Pack(ref.slab_class, slot));
+  }
+  ValueArena::SlotHeader* h = arena.header(slot);
   h->cas = cas;
   h->value_size = size;
   h->flags = flags;
   h->stored_s = stored_s;
-  if (size > 0) std::memcpy(arena.payload(ref.slot), data, size);
+  if (size > 0) std::memcpy(arena.payload(slot), data, size);
+  value_bytes_ += size;
+}
+
+ValueLease ValueStore::Lease(const Ref& ref) {
+  assert(ref.has_slot());
+  ValueArena* arena = arenas_[ref.slab_class].get();
+  arena->Lease(ref.slot);
+  return ValueLease{arena, ref.slot};
+}
+
+uint64_t ValueStore::leases() const {
+  uint64_t total = 0;
+  for (const auto& arena : arenas_) {
+    if (arena) total += arena->leases();
+  }
+  return total;
 }
 
 const ValueArena::SlotHeader& ValueStore::Header(const Ref& ref) const {
@@ -121,6 +146,7 @@ std::vector<ValueStore::ClassOccupancy> ValueStore::Occupancy() const {
     o.slab_class = k;
     o.chunk_size = arenas_[k]->chunk_size();
     o.used_chunks = arenas_[k]->live_slots();
+    o.retired_chunks = arenas_[k]->retired_slots();
     o.pool_chunks = arenas_[k]->pool_slots();
     o.resident_bytes = arenas_[k]->resident_bytes();
     out.push_back(o);
@@ -133,7 +159,7 @@ bool ValueStore::CheckInvariants() const {
   uint64_t live_slots = 0;
   for (int k = 0; k < kMaxSlabClasses; ++k) {
     if (!arenas_[k]) continue;
-    if (!arenas_[k]->CheckFreeList()) return false;
+    if (!arenas_[k]->CheckSlots()) return false;
     live_slots += arenas_[k]->live_slots();
   }
   uint64_t indexed_slots = 0;
@@ -148,8 +174,10 @@ bool ValueStore::CheckInvariants() const {
       ok = false;
       return;
     }
+    const ValueArena::SlotHeader* h = arenas_[slab_class]->header(slot);
+    if (h->retired != 0) ok = false;  // the index only names live slots
     ++indexed_slots;
-    live_bytes += arenas_[slab_class]->header(slot)->value_size;
+    live_bytes += h->value_size;
   });
   return ok && indexed_slots == live_slots && live_bytes == value_bytes_;
 }

@@ -36,8 +36,8 @@
 namespace cliffhanger {
 
 // A borrowed, zero-copy window onto one stored value. `data` points into
-// the slot's arena page; see core/sharded_server.h for the lifetime rule
-// (stable until the next mutation of the owning shard).
+// the slot's arena page and is stable until the next mutation of the
+// owning store, or until its ValueLease is returned when one was taken.
 struct ValueView {
   const char* data = nullptr;
   uint32_t size = 0;
@@ -45,6 +45,15 @@ struct ValueView {
   uint64_t cas = 0;
   uint32_t stored_s = 0;  // store second, compared against the flush point
   uint32_t expiry_s = 0;  // absolute expiry (from the queue node); 0 = never
+};
+
+// One borrow of a stored value's slot (ValueStore::Lease): while it is
+// outstanding the slot's bytes stay put, whatever happens to the key —
+// overwrite, rewrite, eviction, delete. Return it with ReturnLease under the
+// same lock that guarded the Lease.
+struct ValueLease {
+  ValueArena* arena = nullptr;
+  uint32_t slot = ValueArena::kNullSlot;
 };
 
 class ValueStore final : public SegmentedLru::Listener {
@@ -73,12 +82,25 @@ class ValueStore final : public SegmentedLru::Listener {
   // Register the key as shadow-only in `slab_class`: the class survives so
   // later probes stay in the right queue, but no payload is held.
   void RegisterShadow(uint64_t key, int slab_class);
-  // Overwrite an existing slot's payload and header in place (same class;
-  // `size` must fit the class's chunk). Flags are preserved only if the
-  // caller re-passes them — arithmetic/concat rewrites keep the old flags,
-  // which the caller reads from Header() first.
-  void RewriteInPlace(const Ref& ref, const void* data, uint32_t size,
-                      uint32_t flags, uint64_t cas, uint32_t stored_s);
+  // Overwrite `key`'s slot payload and header (same class; `size` must fit
+  // the class's chunk). In place, unless the slot is leased: then the new
+  // value goes into a fresh slot of the class and the old one is retired,
+  // so the borrower keeps reading the old bytes. Flags are preserved only
+  // if the caller re-passes them — arithmetic/concat rewrites keep the old
+  // flags, which the caller reads from Header() first.
+  void RewriteInPlace(uint64_t key, const Ref& ref, const void* data,
+                      uint32_t size, uint32_t flags, uint64_t cas,
+                      uint32_t stored_s);
+
+  // Borrow leases (see util/value_arena.h). Lease takes one on ref's live
+  // slot; ReturnLease gives it back and frees the slot if it was retired
+  // meanwhile and this was its last lease.
+  [[nodiscard]] ValueLease Lease(const Ref& ref);
+  static void ReturnLease(const ValueLease& lease) {
+    lease.arena->Unlease(lease.slot);
+  }
+  // Leases outstanding across every class (0 before the store may die).
+  [[nodiscard]] uint64_t leases() const;
 
   [[nodiscard]] const ValueArena::SlotHeader& Header(const Ref& ref) const;
   // Fills everything except expiry_s (the queue node owns expiry).
@@ -88,20 +110,23 @@ class ValueStore final : public SegmentedLru::Listener {
   void OnValueDrop(uint64_t key) override;
   void OnKeyGone(uint64_t key) override;
 
-  // Real memory accounting (the `stats` surface).
+  // Real memory accounting (the `stats` surface). A retired slot's bytes
+  // no longer count: the key that held them is gone.
   [[nodiscard]] uint64_t value_bytes() const { return value_bytes_; }
   [[nodiscard]] size_t tracked_keys() const { return index_.size(); }
   struct ClassOccupancy {
     int slab_class = 0;
     uint32_t chunk_size = 0;
     uint64_t used_chunks = 0;   // live slots (= physically resident items)
-    uint64_t pool_chunks = 0;   // allocated slots (live + free-list)
+    uint64_t retired_chunks = 0;  // freed while leased, awaiting the lease
+    uint64_t pool_chunks = 0;   // allocated slots (live + free + retired)
     uint64_t resident_bytes = 0;  // page bytes actually held from the heap
   };
   [[nodiscard]] std::vector<ClassOccupancy> Occupancy() const;
 
-  // Debug/test: every arena free-list intact and the byte counter equal to
-  // the sum of live slot sizes.
+  // Debug/test: every arena's slot states intact (ValueArena::CheckSlots),
+  // every indexed slot live, and the byte counter equal to the sum of live
+  // slot sizes.
   [[nodiscard]] bool CheckInvariants() const;
 
  private:

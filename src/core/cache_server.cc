@@ -317,7 +317,8 @@ void AppCache::RegisterStoredValue(uint64_t key, int slab_class,
 }
 
 ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
-                                uint32_t now_s, uint32_t flush_at_s) {
+                                uint32_t now_s, uint32_t flush_at_s,
+                                ValueLease* lease) {
   assert(value_store_);
   ValueOutcome vo;
   const ValueStore::Ref ref = value_store_->Find(key);
@@ -364,6 +365,7 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
       if (q != nullptr) (void)q->PeekPhysical(key, &expiry_s);
       vo.view.expiry_s = expiry_s;
       vo.valid = true;
+      if (lease != nullptr) *lease = value_store_->Lease(hit_ref);
     }
   }
   return vo;
@@ -444,7 +446,7 @@ ReplaceResult AppCache::ReplaceValue(uint64_t key, uint32_t key_size,
     // Same footprint class: overwrite the slot and refresh recency without
     // minting phantom set statistics. Flags survive the rewrite.
     const uint32_t flags = value_store_->Header(ref).flags;
-    value_store_->RewriteInPlace(ref, data, size, flags, cas, now_s);
+    value_store_->RewriteInPlace(key, ref, data, size, flags, cas, now_s);
     ItemMeta item;
     item.key = key;
     item.key_size = key_size;
@@ -711,6 +713,8 @@ bool CacheServer::RemoveApp(uint32_t app_id) {
   const auto it = apps_.find(app_id);
   if (it == apps_.end()) return false;
   AppCache* departing = it->second.get();
+  assert(departing->value_store() == nullptr ||
+         departing->value_store()->leases() == 0);
   const uint64_t freed = departing->reservation();
   if (cross_climber_) {
     const size_t index = departing->cross_index_;
@@ -827,14 +831,14 @@ Outcome CacheServer::Mutate(uint32_t app_id, MutateOp op,
 
 ValueOutcome CacheServer::GetByKey(uint32_t app_id, uint64_t key,
                                    uint32_t key_size, uint32_t now_s,
-                                   uint32_t flush_at_s) {
+                                   uint32_t flush_at_s, ValueLease* lease) {
   AppCache* a = app(app_id);
   if (a == nullptr) {
     ValueOutcome vo;
     vo.outcome.cacheable = false;
     return vo;
   }
-  return a->GetByKey(key, key_size, now_s, flush_at_s);
+  return a->GetByKey(key, key_size, now_s, flush_at_s, lease);
 }
 
 ValueOutcome CacheServer::PeekByKey(uint32_t app_id, uint64_t key,

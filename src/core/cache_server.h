@@ -117,8 +117,8 @@ struct Outcome {
 
 // Result of a value-mode access (ServerConfig::store_values). `outcome`
 // carries the usual statistics view; `view` is a borrowed span into the
-// app's value arena, valid only while the owning shard stays unmutated
-// (see ShardBatch in core/sharded_server.h for the lifetime rule).
+// app's value arena, valid while the owning shard stays unmutated, or
+// until its ValueLease is returned when the access took one.
 struct ValueOutcome {
   Outcome outcome;
   // The entry was invalidated by flush_all and reclaimed on this access
@@ -174,9 +174,10 @@ class AppCache {
   // Counted lookup. Statistics move exactly as Get() would for the key's
   // resident class (or the class a zero-byte value of this key would land
   // in, when the key is unknown). On a serveable hit `valid` is true and
-  // `view` points at the stored bytes.
+  // `view` points at the stored bytes; with `lease`, the hit also takes a
+  // lease on its slot (ValueStore::Lease), which the caller must return.
   ValueOutcome GetByKey(uint64_t key, uint32_t key_size, uint32_t now_s,
-                        uint32_t flush_at_s);
+                        uint32_t flush_at_s, ValueLease* lease = nullptr);
   // Uncounted validity probe for the read-before-write verbs (add/replace/
   // cas/append/incr/touch/delete). Performs lazy expiry/flush reclamation
   // but moves no statistics and no recency.
@@ -303,6 +304,8 @@ class CacheServer {
   // the cross-app climber, and — in cross-app mode — redistributes its
   // current reservation to the surviving apps proportionally to theirs, so
   // the server-wide total is conserved. Returns false for an unknown app.
+  // The app's values must hold no borrow lease (asserted): a lease names a
+  // slot of the arena this frees.
   bool RemoveApp(uint32_t app_id);
   [[nodiscard]] AppCache* app(uint32_t app_id);
   [[nodiscard]] const AppCache* app(uint32_t app_id) const;
@@ -320,7 +323,8 @@ class CacheServer {
 
   // Value-mode verbs, routed by app id (ServerConfig::store_values only).
   ValueOutcome GetByKey(uint32_t app_id, uint64_t key, uint32_t key_size,
-                        uint32_t now_s, uint32_t flush_at_s);
+                        uint32_t now_s, uint32_t flush_at_s,
+                        ValueLease* lease = nullptr);
   ValueOutcome PeekByKey(uint32_t app_id, uint64_t key, uint32_t now_s,
                          uint32_t flush_at_s);
   bool SetValue(uint32_t app_id, const ItemMeta& item, const void* data,

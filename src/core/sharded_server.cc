@@ -189,29 +189,14 @@ ShardedCacheServer::ShardBatch::ShardBatch(ShardedCacheServer* owner,
       shard_index_(shard_index),
       lock_(shard_->mu) {}
 
-ShardedCacheServer::ShardBatch::ShardBatch(ShardBatch&& other) noexcept
-    : owner_(other.owner_),
-      shard_(other.shard_),
-      shard_index_(other.shard_index_),
-      lock_(std::move(other.lock_)),
-      delta_(other.delta_),
-      ops_(other.ops_) {
-  other.owner_ = nullptr;
-}
-
 ShardedCacheServer::ShardBatch::~ShardBatch() {
-  if (owner_ == nullptr) return;
   // Release the shard lock, then publish the counter deltas, then advance
   // the rebalance cadence (which may run Rebalance() — it takes apps_mu_
   // plus every shard lock, so it must never run while this batch still
   // holds one).
-  if (lock_.owns_lock()) lock_.unlock();
+  lock_.unlock();
   owner_->PublishDelta(*shard_, delta_);
   owner_->BumpOpCount(*shard_, ops_);
-}
-
-void ShardedCacheServer::ShardBatch::Unlock() {
-  if (lock_.owns_lock()) lock_.unlock();
 }
 
 Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
@@ -259,15 +244,13 @@ Outcome ShardedCacheServer::ShardBatch::Mutate(uint32_t app_id, MutateOp op,
   return outcome;
 }
 
-ValueOutcome ShardedCacheServer::ShardBatch::GetValue(uint32_t app_id,
-                                                      uint64_t key,
-                                                      uint32_t key_size,
-                                                      uint32_t now_s,
-                                                      uint32_t flush_at_s) {
+ValueOutcome ShardedCacheServer::ShardBatch::GetValue(
+    uint32_t app_id, uint64_t key, uint32_t key_size, uint32_t now_s,
+    uint32_t flush_at_s, ValueLease* lease) {
   assert(lock_.owns_lock());
   assert(owner_->ShardForKey(key) == shard_index_);
-  const ValueOutcome vo =
-      shard_->server->GetByKey(app_id, key, key_size, now_s, flush_at_s);
+  const ValueOutcome vo = shard_->server->GetByKey(app_id, key, key_size,
+                                                   now_s, flush_at_s, lease);
   MirrorGetOutcome(vo.outcome, &delta_);
   ++ops_;
   return vo;
@@ -335,6 +318,11 @@ bool ShardedCacheServer::ShardBatch::DeleteValue(uint32_t app_id,
   return was_valid;
 }
 
+void ShardedCacheServer::ShardBatch::ReturnLease(const ValueLease& lease) {
+  assert(lock_.owns_lock());
+  ValueStore::ReturnLease(lease);
+}
+
 ShardedCacheServer::ShardBatch ShardedCacheServer::BeginBatch(
     size_t shard_index) {
   assert(shard_index < num_shards_);
@@ -378,7 +366,9 @@ ShardedCacheServer::ValueStats ShardedCacheServer::MergedValueStats() const {
       if (store == nullptr) continue;
       total.value_bytes += store->value_bytes();
       total.tracked_keys += store->tracked_keys();
+      total.leases += store->leases();
       for (const ValueStore::ClassOccupancy& o : store->Occupancy()) {
+        total.retired_slots += o.retired_chunks;
         ClassUse& use = total.classes[o.slab_class];
         use.chunk_size = o.chunk_size;
         use.used_chunks += o.used_chunks;

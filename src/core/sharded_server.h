@@ -96,8 +96,8 @@ class ShardedCacheServer {
   // returned ValueOutcome::view borrows arena memory guarded by the shard
   // lock — with the routed verbs the lock is already released on return, so
   // the view is only safe if no other thread can mutate the shard. Callers
-  // needing a stable span across concurrent traffic must go through a
-  // ShardBatch and keep it alive while reading the view.
+  // needing a stable span across concurrent traffic take a lease through
+  // ShardBatch::GetValue and return it with ShardBatch::ReturnLease.
   ValueOutcome GetValue(uint32_t app_id, uint64_t key, uint32_t key_size,
                         uint32_t now_s, uint32_t flush_at_s);
   ValueOutcome PeekValue(uint32_t app_id, uint64_t key, uint32_t now_s,
@@ -122,10 +122,8 @@ class ShardedCacheServer {
   class ShardBatch {
    public:
     ~ShardBatch();
-    ShardBatch(ShardBatch&& other) noexcept;
     ShardBatch(const ShardBatch&) = delete;
     ShardBatch& operator=(const ShardBatch&) = delete;
-    ShardBatch& operator=(ShardBatch&&) = delete;
 
     // The verbs behind the routed ones above (same semantics); Mutate
     // forwards to CacheServer::Mutate.
@@ -136,12 +134,16 @@ class ShardedCacheServer {
     Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
 
     // Value-mode batch verbs. A ValueOutcome::view returned here stays
-    // valid for exactly as long as this batch holds the shard lock AND no
-    // further mutating call is made through it — the natural pattern for a
-    // zero-copy GET burst: collect views, write them out, then destroy (or
-    // Unlock()) the batch.
+    // valid while this batch holds the shard lock and makes no further
+    // mutating call. With `lease`, a GetValue hit also leases its slot:
+    // the view then stays valid after the batch dies — through overwrites,
+    // rewrites, evictions and deletes of the key on any thread — until the
+    // lease is handed to ReturnLease on a later batch of the same shard.
+    // That is how the network front writes GET hits straight from the
+    // arena without holding the shard lock across the socket write.
     ValueOutcome GetValue(uint32_t app_id, uint64_t key, uint32_t key_size,
-                          uint32_t now_s, uint32_t flush_at_s);
+                          uint32_t now_s, uint32_t flush_at_s,
+                          ValueLease* lease = nullptr);
     ValueOutcome PeekValue(uint32_t app_id, uint64_t key, uint32_t now_s,
                            uint32_t flush_at_s);
     bool SetValue(uint32_t app_id, const ItemMeta& item, const void* data,
@@ -153,14 +155,10 @@ class ShardedCacheServer {
                     uint32_t expiry_s, uint32_t now_s, uint32_t flush_at_s);
     bool DeleteValue(uint32_t app_id, uint64_t key, uint32_t now_s,
                      uint32_t flush_at_s);
-
-    // Releases the shard lock early, before destruction. Borrowed views
-    // die here. Required when a caller pins several batches at once and a
-    // destructor side effect (PublishDelta -> BumpOpCount -> Rebalance,
-    // which takes every shard lock) could otherwise run while sibling
-    // batches still hold theirs: Unlock() all pins first, then let the
-    // destructors run lock-free. Idempotent; no further ops are legal.
-    void Unlock();
+    // Returns a lease GetValue took on this shard; a slot retired while
+    // leased goes back on its free-list with its last lease. Not an op:
+    // no statistics, no rebalance cadence.
+    void ReturnLease(const ValueLease& lease);
 
     [[nodiscard]] size_t shard_index() const { return shard_index_; }
 
@@ -168,7 +166,7 @@ class ShardedCacheServer {
     friend class ShardedCacheServer;
     ShardBatch(ShardedCacheServer* owner, size_t shard_index);
 
-    ShardedCacheServer* owner_;  // nullptr after move-from: dtor is a no-op
+    ShardedCacheServer* owner_;
     Shard* shard_;
     size_t shard_index_;
     std::unique_lock<std::mutex> lock_;
@@ -211,6 +209,8 @@ class ShardedCacheServer {
   struct ValueStats {
     uint64_t value_bytes = 0;   // live payload bytes across all slots
     uint64_t tracked_keys = 0;  // index entries (resident + shadow)
+    uint64_t leases = 0;        // borrow leases outstanding
+    uint64_t retired_slots = 0; // slots freed while leased
     std::map<int, ClassUse> classes;
   };
   [[nodiscard]] ValueStats MergedValueStats() const;

@@ -403,20 +403,6 @@ void AppendValueHeaderCas(std::string* out, std::string_view key,
   out->append(kCrlf);
 }
 
-void AppendValueResponse(std::string* out, std::string_view key,
-                         uint32_t flags, std::string_view data) {
-  AppendValueHeader(out, key, flags, data.size());
-  out->append(data);
-  out->append(kCrlf);
-}
-
-void AppendValueResponseCas(std::string* out, std::string_view key,
-                            uint32_t flags, std::string_view data,
-                            uint64_t cas) {
-  AppendValueHeaderCas(out, key, flags, data.size(), cas);
-  out->append(data);
-  out->append(kCrlf);
-}
 
 void AppendErrorLine(std::string* out, std::string_view error) {
   out->append(error);

@@ -156,16 +156,9 @@ inline constexpr std::string_view kErrBadExptime =
 inline constexpr std::string_view kErrNonNumeric =
     "CLIENT_ERROR cannot increment or decrement non-numeric value";
 
-// "VALUE <key> <flags> <bytes>[ <cas>]\r\n<data>\r\n". with_cas selects the
-// gets-form.
-void AppendValueResponse(std::string* out, std::string_view key,
-                         uint32_t flags, std::string_view data);
-void AppendValueResponseCas(std::string* out, std::string_view key,
-                            uint32_t flags, std::string_view data,
-                            uint64_t cas);
-// Header line only — "VALUE <key> <flags> <bytes>[ <cas>]\r\n" — for the
-// zero-copy GET path, where the payload bytes and trailing CRLF travel as
-// separate writev pieces borrowed from the value arena.
+// The header line of a GET hit — "VALUE <key> <flags> <bytes>[ <cas>]\r\n";
+// the Cas form is for gets. The payload bytes and trailing CRLF travel as
+// separate writev pieces, the payload borrowed from the value arena.
 void AppendValueHeader(std::string* out, std::string_view key, uint32_t flags,
                        uint64_t bytes);
 void AppendValueHeaderCas(std::string* out, std::string_view key,

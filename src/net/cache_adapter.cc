@@ -40,12 +40,22 @@ ResponseSegment& ClaimSlot(std::vector<ResponseSegment>* segments,
   return (*segments)[(*used)++];
 }
 
-// ShardBatches pinned by a pure-GET burst: they keep the shard locks — and
-// therefore the borrowed arena payload spans in the response segments —
-// alive until ReleaseBurstPins() runs after the flush. Thread-local
-// because each epoll worker runs its own bursts; the socket server calls
-// HandleBatch and ReleaseBurstPins on the same thread, back to back.
-thread_local std::vector<ShardedCacheServer::ShardBatch> t_burst_pins;
+// One GET hit's borrow: the lease keeps the payload slot's bytes in place
+// until ReleaseBurstPins() returns it under the owning shard's lock, after
+// the flush. Thread-local because each socket worker runs its own bursts
+// and calls HandleBatch and ReleaseBurstPins on the same thread, back to
+// back; cleared, never shrunk, so the burst cycle reuses its capacity.
+struct Borrow {
+  size_t shard;
+  ValueLease lease;
+};
+thread_local std::vector<Borrow> t_borrows;
+
+std::vector<uint32_t> SortedAppIds(const ShardedCacheServer& server) {
+  std::vector<uint32_t> ids = server.app_ids();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 }  // namespace
 
@@ -72,46 +82,13 @@ uint32_t AbsoluteExpiry(int64_t exptime, uint32_t now_s) {
 
 CacheAdapter::CacheAdapter(ShardedCacheServer* server,
                            const CacheAdapterConfig& config)
-    : server_(server), config_(config) {
+    : server_(server), config_(config), app_ids_(SortedAppIds(*server)) {
   if (!config_.clock) {
     config_.clock = [] { return static_cast<uint32_t>(::time(nullptr)); };
   }
-  auto ids = std::make_shared<std::vector<uint32_t>>(server->app_ids());
-  std::sort(ids->begin(), ids->end());
-  std::atomic_store_explicit(
-      &app_ids_,
-      std::shared_ptr<const std::vector<uint32_t>>(std::move(ids)),
-      std::memory_order_release);
 }
 
 CacheAdapter::~CacheAdapter() = default;
-
-void CacheAdapter::AddApp(uint32_t app_id, uint64_t reservation) {
-  // Core first, snapshot second: a command must never route to an app the
-  // shards have not registered yet.
-  server_->AddApp(app_id, reservation);
-  auto next = std::make_shared<std::vector<uint32_t>>(*AppSnapshot());
-  next->insert(std::lower_bound(next->begin(), next->end(), app_id), app_id);
-  std::atomic_store_explicit(
-      &app_ids_,
-      std::shared_ptr<const std::vector<uint32_t>>(std::move(next)),
-      std::memory_order_release);
-}
-
-bool CacheAdapter::RemoveApp(uint32_t app_id) {
-  // Snapshot first, core second: withdraw the app from routing so new
-  // commands soft-fail at admission, then tear it down. Commands that
-  // routed against the old snapshot soft-fail inside the core instead.
-  auto next = std::make_shared<std::vector<uint32_t>>(*AppSnapshot());
-  const auto it = std::lower_bound(next->begin(), next->end(), app_id);
-  if (it == next->end() || *it != app_id) return false;
-  next->erase(it);
-  std::atomic_store_explicit(
-      &app_ids_,
-      std::shared_ptr<const std::vector<uint32_t>>(std::move(next)),
-      std::memory_order_release);
-  return server_->RemoveApp(app_id);
-}
 
 CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
   RoutedKey rk;
@@ -121,18 +98,19 @@ CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
     uint32_t prefixed = 0;
     if (ParseAppPrefix(key, &prefixed)) rk.app_id = prefixed;
   }
-  const auto ids = AppSnapshot();
-  rk.app_known = std::binary_search(ids->begin(), ids->end(), rk.app_id);
+  rk.app_known =
+      std::binary_search(app_ids_.begin(), app_ids_.end(), rk.app_id);
   return rk;
 }
 
 void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
                                 std::string_view key, const RoutedKey& rk,
                                 uint32_t now_s, bool with_cas,
-                                std::string* out, ResponseSegment* zc) {
+                                ResponseSegment* seg) {
+  ValueLease lease;
   const ValueOutcome vo = core.GetValue(
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()), now_s,
-      FlushAt());
+      FlushAt(), &lease);
   if (vo.flush_reclaimed) {
     // flush_all invalidation, reclaimed on this access without touching
     // the core statistics (the probe never ran).
@@ -143,29 +121,23 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
   if (vo.valid) {
     get_hits_.fetch_add(1, std::memory_order_relaxed);
     bytes_written_.fetch_add(vo.view.size, std::memory_order_relaxed);
-    if (zc != nullptr) {
-      // Zero-copy: the VALUE header goes into the segment text, the
-      // payload piece borrows the arena bytes (stable while the caller
-      // keeps `core` pinned), and the terminating CRLF is the trailer.
-      if (with_cas) {
-        AppendValueHeaderCas(&zc->text, key, vo.view.flags, vo.view.size,
-                             vo.view.cas);
-      } else {
-        AppendValueHeader(&zc->text, key, vo.view.flags, vo.view.size);
-      }
-      zc->payload = vo.view.data;
-      zc->payload_size = vo.view.size;
-      zc->trailer.append(kCrlf);
+    if (with_cas) {
+      AppendValueHeaderCas(&seg->text, key, vo.view.flags, vo.view.size,
+                           vo.view.cas);
     } else {
-      // Copy path (mixed bursts, Handle()): the batch dies before the
-      // response is written, so the payload must move into the text.
-      const std::string_view data(vo.view.data, vo.view.size);
-      if (with_cas) {
-        AppendValueResponseCas(out, key, vo.view.flags, data, vo.view.cas);
-      } else {
-        AppendValueResponse(out, key, vo.view.flags, data);
-      }
+      AppendValueHeader(&seg->text, key, vo.view.flags, vo.view.size);
     }
+    if (vo.view.size < kMinBorrowBytes) {
+      // Cheaper to copy than to send as two more iovecs under a lease.
+      core.ReturnLease(lease);
+      seg->text.append(vo.view.data, vo.view.size);
+      seg->text.append(kCrlf);
+      return;
+    }
+    t_borrows.push_back(Borrow{core.shard_index(), lease});
+    seg->payload = vo.view.data;
+    seg->payload_size = vo.view.size;
+    seg->trailer.append(kCrlf);
     return;
   }
   get_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -302,9 +274,11 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
     return;
   }
   // The splice copies by necessity; the view stays stable while `core`
-  // holds the shard lock.
-  std::string combined;
-  combined.reserve(static_cast<size_t>(combined_size));
+  // holds the shard lock. The scratch is per thread and keeps its capacity
+  // (at most kMaxValueBytes), so a steady stream of splices allocates
+  // nothing.
+  static thread_local std::string combined;
+  combined.clear();
   if (cmd.type == CommandType::kAppend) {
     combined.append(peek.view.data, peek.view.size);
     combined.append(cmd.data.data(), cmd.data.size());
@@ -488,7 +462,7 @@ void CacheAdapter::HandleStats(std::string* out) {
                static_cast<uint64_t>(use.chunk_size));
     AppendStat(out, prefix + ":used_chunks", use.used_chunks);
   }
-  for (const uint32_t app_id : *AppSnapshot()) {
+  for (const uint32_t app_id : app_ids_) {
     std::string name = "app_" + std::to_string(app_id) + "_reservation_bytes";
     AppendStat(out, name, server_->AppReservation(app_id));
   }
@@ -540,17 +514,13 @@ bool IsShardable(CommandType type) {
 }  // namespace
 
 void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
-                                   const BurstOp& op, ResponseSegment* seg,
-                                   bool pinned) {
+                                   const BurstOp& op, ResponseSegment* seg) {
   const Command& cmd = *op.cmd;
   switch (cmd.type) {
     case CommandType::kGet:
     case CommandType::kGets:
-      // In a pinned (pure-GET) burst the segment borrows the payload from
-      // the arena; otherwise the batch dies before the flush, so copy.
       GetKeyLocked(core, cmd.keys[op.key_idx], op.rk, op.now_s,
-                   /*with_cas=*/cmd.type == CommandType::kGets, &seg->text,
-                   pinned ? seg : nullptr);
+                   /*with_cas=*/cmd.type == CommandType::kGets, seg);
       break;
     case CommandType::kSet:
     case CommandType::kAdd:
@@ -580,7 +550,7 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
 
 void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                                      std::vector<ResponseSegment>* segments,
-                                     size_t* used, bool pinned) {
+                                     size_t* used) {
   // Collection: expand commands into shard-routed ops and claim their
   // response slots in stream order. Admission (unknown app) and the
   // command counters run here, before any lock; Now() is read once per
@@ -617,43 +587,32 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                           server_->ShardForKey(rk.key_id)});
   }
 
-  // Group by shard; the stable sort preserves same-shard (and therefore
-  // same-key) op order, which is what makes the grouped execution
-  // equivalent to the sequential stream — including read-your-write for a
-  // pipelined `set k` ... `get k` in one burst.
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const BurstOp& a, const BurstOp& b) {
-                     return a.shard < b.shard;
-                   });
+  // Group by shard, in stream order within a shard (slots rise with the
+  // stream, so sorting by (shard, slot) is a stable sort by shard without
+  // its temporary buffer). Keeping same-shard — and therefore same-key —
+  // op order is what makes the grouped execution equivalent to the
+  // sequential stream, including read-your-write for a pipelined
+  // `set k` ... `get k` in one burst.
+  std::sort(ops.begin(), ops.end(), [](const BurstOp& a, const BurstOp& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.slot < b.slot;
+  });
 
-  // Execution: one core ShardBatch (shard lock) per shard per run. In a
-  // pinned run the batches are parked — in ascending shard order, which
-  // keeps concurrent pinning workers deadlock-free — so the zero-copy
-  // payload spans stay valid until ReleaseBurstPins(); otherwise
-  // ~ShardBatch publishes the counter deltas and bumps the rebalance
-  // cadence here.
+  // Execution: one core ShardBatch (shard lock) per shard per run, released
+  // as soon as the group ends; ~ShardBatch then publishes the counter
+  // deltas and bumps the rebalance cadence.
   size_t i = 0;
   while (i < ops.size()) {
     const size_t shard_index = ops[i].shard;
     ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard_index);
     for (; i < ops.size() && ops[i].shard == shard_index; ++i) {
-      ExecuteOpLocked(batch, ops[i], &(*segments)[ops[i].slot], pinned);
+      ExecuteOpLocked(batch, ops[i], &(*segments)[ops[i].slot]);
     }
-    if (pinned) t_burst_pins.push_back(std::move(batch));
   }
 }
 
 bool CacheAdapter::HandleBatch(const Command* cmds, size_t count,
                                std::vector<ResponseSegment>* segments) {
   size_t used = 0;
-  // Zero-copy is only safe when the whole burst is get/gets: pinning shard
-  // locks across a burst that also runs barrier commands (stats takes every
-  // shard lock) or store verbs on the same shard would self-deadlock.
-  bool pure_get = count > 0;
-  for (size_t i = 0; i < count && pure_get; ++i) {
-    pure_get = cmds[i].type == CommandType::kGet ||
-               cmds[i].type == CommandType::kGets;
-  }
   size_t i = 0;
   while (i < count) {
     if (!IsShardable(cmds[i].type)) {
@@ -664,29 +623,53 @@ bool CacheAdapter::HandleBatch(const Command* cmds, size_t count,
     }
     size_t run_end = i + 1;
     while (run_end < count && IsShardable(cmds[run_end].type)) ++run_end;
-    ExecuteShardedRun(cmds + i, run_end - i, segments, &used, pure_get);
+    ExecuteShardedRun(cmds + i, run_end - i, segments, &used);
     i = run_end;
   }
   // Slots beyond `used` were Reset by the caller and flush as zero bytes.
   return true;
 }
 
-void CacheAdapter::ReleaseBurstPins() {
-  // Unlock every pinned batch before destroying any: a destructor may
-  // publish deltas and fire Rebalance(), which takes all shard locks.
-  for (ShardedCacheServer::ShardBatch& batch : t_burst_pins) batch.Unlock();
-  t_burst_pins.clear();
+void CacheAdapter::ReleaseBurstPins() { ReleaseBorrowsFrom(0); }
+
+void CacheAdapter::ReleaseBorrowsFrom(size_t first) {
+  // Group by shard so each touched shard's lock is taken once, even when
+  // barrier commands split the burst into several runs (a single run
+  // borrows in ascending shard order already).
+  const auto begin = t_borrows.begin() + static_cast<ptrdiff_t>(first);
+  const auto by_shard = [](const Borrow& a, const Borrow& b) {
+    return a.shard < b.shard;
+  };
+  if (!std::is_sorted(begin, t_borrows.end(), by_shard)) {
+    std::sort(begin, t_borrows.end(), by_shard);
+  }
+  for (size_t i = first; i < t_borrows.size();) {
+    const size_t shard_index = t_borrows[i].shard;
+    ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard_index);
+    for (; i < t_borrows.size() && t_borrows[i].shard == shard_index; ++i) {
+      batch.ReturnLease(t_borrows[i].lease);
+    }
+  }
+  t_borrows.resize(first);
 }
 
 bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
   if (IsShardable(cmd.type)) {
-    // A one-command, unpinned run: every response byte (GET payloads
-    // included) lands in the slots' text, which is concatenated into *out.
+    // A one-command run whose response — borrowed GET payloads included —
+    // is copied into *out before its own leases go back.
     static thread_local std::vector<ResponseSegment> slots;
     for (ResponseSegment& seg : slots) seg.Reset();
+    const size_t borrows_before = t_borrows.size();
     size_t used = 0;
-    ExecuteShardedRun(&cmd, 1, &slots, &used, /*pinned=*/false);
-    for (size_t i = 0; i < used; ++i) out->append(slots[i].text);
+    ExecuteShardedRun(&cmd, 1, &slots, &used);
+    for (size_t i = 0; i < used; ++i) {
+      out->append(slots[i].text);
+      if (slots[i].payload != nullptr) {
+        out->append(slots[i].payload, slots[i].payload_size);
+      }
+      out->append(slots[i].trailer);
+    }
+    ReleaseBorrowsFrom(borrows_before);
     return true;
   }
   switch (cmd.type) {

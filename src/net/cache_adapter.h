@@ -28,14 +28,20 @@
 //    shard. HandleBatch feeds it whole bursts; Handle() feeds it one
 //    command. Only the barrier verbs (stats/version/flush_all/quit/
 //    protocol errors) have handlers of their own.
-//  - Zero-copy GET. A hit hands back a ValueView borrowing the payload
-//    bytes straight from the value arena, valid until the owning shard
-//    next mutates. A burst consisting solely of get/gets pins the touched
-//    shards' ShardBatch objects (ascending shard order) until the
-//    response segments are flushed, so the writev/SENDMSG scatter-gathers
-//    directly from arena memory — the value bytes are never copied. Mixed
-//    bursts and Handle() copy the payload into the response text instead
-//    (the batch cannot outlive the call).
+//  - Zero-copy GET. Every GET hit of at least kMinBorrowBytes, in every
+//    burst, leaves straight from the value arena: the response segment's
+//    payload span points at the stored bytes, and the writev/SENDMSG
+//    scatter-gathers from there. The hit takes a borrow lease on its slot
+//    under the shard lock (ShardBatch::GetValue with a lease) and records
+//    it in a thread-local borrow list; each shard lock is released as soon
+//    as its group of ops finishes. Until ReleaseBurstPins() returns the
+//    leases after the flush, an overwrite, rewrite, eviction or delete of
+//    the key — in the same burst or on another worker — retires the slot
+//    instead of reusing it, so the borrowed bytes stay exactly what the
+//    GET saw (memcached pins an item with a reference count the same
+//    way). Smaller payloads are copied into the header text under the
+//    lock. Handle() copies every payload into its output, then returns
+//    its leases.
 //  - Time. Every core operation is stamped with `now` from an injectable
 //    clock (CacheAdapterConfig::clock; defaults to the wall clock), so
 //    expiry is lazy and fully deterministic under test. Expiry is
@@ -62,7 +68,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +83,15 @@ inline constexpr std::string_view kServerVersion = "cliffhanger-0.6.0";
 // memcached's relative/absolute exptime boundary: a positive exptime up to
 // 30 days is relative to now; anything larger is an absolute unix second.
 inline constexpr int64_t kRelativeExptimeCutoff = 60 * 60 * 24 * 30;
+
+// GET-hit payloads of at least this many bytes are borrowed from the value
+// arena; smaller ones are copied into the response text. A borrowed hit
+// costs two more iovecs (payload, CRLF) and a lease taken and returned:
+// 30-90 ns per hit in a loopback writev probe on a 4-vCPU VM. A copy costs
+// about 0.06 ns per byte (borrowing saved 1.6-1.9 us per command on
+// 26 KiB mean values), so the two meet near 1 KiB. Below it, on the ETC mix's
+// 64/400 B values, borrowing cost 11% of closed-loop throughput.
+inline constexpr uint32_t kMinBorrowBytes = 1024;
 
 struct CacheAdapterConfig {
   uint32_t default_app_id = 1;
@@ -99,46 +113,42 @@ struct CacheAdapterConfig {
 class CacheAdapter final : public CommandHandler {
  public:
   // `server` must be constructed with ServerConfig::store_values = true
-  // and outlive the adapter; its apps must be registered before traffic
-  // starts (same contract as ShardedCacheServer::AddApp).
+  // and outlive the adapter. Routing reads the server's app list once,
+  // here: register every app before building the adapter. An app removed
+  // from the server afterwards soft-fails in the core, but only once the
+  // adapter holds no borrow of its values (CacheServer::RemoveApp).
   CacheAdapter(ShardedCacheServer* server, const CacheAdapterConfig& config);
   ~CacheAdapter() override;
   CacheAdapter(const CacheAdapter&) = delete;
   CacheAdapter& operator=(const CacheAdapter&) = delete;
 
   // One command, response text appended to *out: barrier verbs run their
-  // own handler, every other verb a one-command unpinned ExecuteShardedRun
-  // (so a GET hit copies its payload). The socket server only calls
-  // HandleBatch; this is for callers that hold a single parsed command.
+  // own handler, every other verb a one-command ExecuteShardedRun whose
+  // borrowed GET payloads are copied into *out before their leases are
+  // returned. The socket server only calls HandleBatch; this is for
+  // callers that hold a single parsed command.
   bool Handle(const Command& cmd, std::string* out) override;
   // Burst entry point (both socket backends): consecutive shardable
   // commands are grouped by shard and executed under ONE core ShardBatch
-  // per shard per run, instead of one lock acquisition per op. Response
-  // slots are claimed in command/key order, so the segment sequence is
-  // byte-identical to handling the commands one at a time: ops on
-  // different shards touch disjoint state, and same-key ops always hash
-  // to the same shard, where the stable grouping preserves their order
-  // (read-your-write within a pipelined burst included). A burst that is
-  // entirely get/gets keeps its ShardBatches pinned until
-  // ReleaseBurstPins() so the response segments can borrow the payload
-  // bytes from the value arena (zero-copy writev). Barrier commands
-  // (stats/version/flush_all/quit/errors) go to Handle() in place.
+  // per shard per run, instead of one lock acquisition per op; each shard
+  // lock is released when its group finishes. Response slots are claimed
+  // in command/key order, so the segment sequence is byte-identical to
+  // handling the commands one at a time: ops on different shards touch
+  // disjoint state, and same-key ops always hash to the same shard, where
+  // the grouping preserves their order (read-your-write within a
+  // pipelined burst included). A GET hit of kMinBorrowBytes or more
+  // borrows its payload from the value arena under a lease (see
+  // "Zero-copy GET" above).
+  // Barrier commands (stats/version/flush_all/quit/errors) go to Handle()
+  // in place.
   bool HandleBatch(const Command* cmds, size_t count,
                    std::vector<ResponseSegment>* segments) override;
-  // Unlocks and destroys the ShardBatches pinned by a pure-GET burst.
-  // Must run on the thread that called HandleBatch, after the segments
-  // are flushed (the socket server's burst cycle guarantees both).
+  // Returns the borrow leases this thread's HandleBatch calls took, taking
+  // each touched shard's lock once. Must run on the thread that called
+  // HandleBatch, after the segments are flushed and before the thread runs
+  // another adapter's burst (the socket server's burst cycle guarantees
+  // all three): the payload spans die here.
   void ReleaseBurstPins() override;
-
-  // Tenant lifecycle on the daemon path. AddApp registers the app on the
-  // core server and publishes it to the routing snapshot; RemoveApp
-  // withdraws it from routing first, then tears it down in the core (the
-  // core's routed verbs soft-fail any op that already routed). Both swap
-  // the immutable app-id snapshot atomically, so concurrent connection
-  // threads keep routing against a consistent list with no locks on the
-  // hot path. Serialize lifecycle calls themselves (one admin caller).
-  void AddApp(uint32_t app_id, uint64_t reservation);
-  bool RemoveApp(uint32_t app_id);
 
   // Protocol-level counters (what `stats` reports, memcached names).
   struct Counters {
@@ -198,14 +208,13 @@ class CacheAdapter final : public CommandHandler {
   // true, CountAndAdmit (or the per-key get admission) already ran, `core`
   // targets rk's shard.
   //
-  // GetKeyLocked serves a hit either zero-copy (`zc` non-null: the VALUE
-  // header goes into zc->text and the payload span borrows the arena
-  // bytes — only legal when the caller keeps the batch pinned until the
-  // segments are flushed) or by copying the payload into *out.
+  // GetKeyLocked serves a hit: the VALUE header goes into seg->text; a
+  // payload of kMinBorrowBytes or more is borrowed from the arena under a
+  // lease recorded in the thread's borrow list (CRLF as the trailer), a
+  // smaller one is copied after the header.
   void GetKeyLocked(ShardedCacheServer::ShardBatch& core,
                     std::string_view key, const RoutedKey& rk,
-                    uint32_t now_s, bool with_cas, std::string* out,
-                    ResponseSegment* zc);
+                    uint32_t now_s, bool with_cas, ResponseSegment* seg);
   void StoreLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
                    const RoutedKey& rk, uint32_t now_s, std::string* out);
   void ConcatLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
@@ -218,32 +227,25 @@ class CacheAdapter final : public CommandHandler {
   void DeleteLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
                     const RoutedKey& rk, uint32_t now_s, std::string* out);
   void ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
-                       const BurstOp& op, ResponseSegment* seg, bool pinned);
+                       const BurstOp& op, ResponseSegment* seg);
   // The burst engine: expands a run of shardable commands into per-key ops
-  // with pre-claimed response slots, groups the ops by shard (stable), and
-  // executes each group under one core ShardBatch. With `pinned`, the
-  // batches are parked (ascending shard order) for ReleaseBurstPins
-  // instead of being destroyed, keeping the zero-copy payload spans alive
-  // through the flush.
+  // with pre-claimed response slots, groups the ops by shard (keeping
+  // command order within a shard), and executes each group under one core
+  // ShardBatch, released when the group ends.
   void ExecuteShardedRun(const Command* cmds, size_t count,
                          std::vector<ResponseSegment>* segments,
-                         size_t* used, bool pinned);
+                         size_t* used);
+  // Returns the leases of this thread's borrow list from index `first` on,
+  // one lock acquisition per touched shard, and truncates the list there.
+  void ReleaseBorrowsFrom(size_t first);
 
   void HandleFlushAll(const Command& cmd, std::string* out);
   void HandleStats(std::string* out);
 
-  // The registered-app list as an immutable, atomically swapped snapshot:
-  // Route() loads it lock-free per command; AddApp/RemoveApp publish a new
-  // sorted vector. (std::atomic_load/store on shared_ptr — the tools this
-  // toolchain's libstdc++ offers; atomic<shared_ptr> is C++20.)
-  [[nodiscard]] std::shared_ptr<const std::vector<uint32_t>> AppSnapshot()
-      const {
-    return std::atomic_load_explicit(&app_ids_, std::memory_order_acquire);
-  }
-
   ShardedCacheServer* server_;
   CacheAdapterConfig config_;
-  std::shared_ptr<const std::vector<uint32_t>> app_ids_;  // sorted
+  // The server's apps at construction, sorted: what Route() admits.
+  const std::vector<uint32_t> app_ids_;
 
   std::atomic<uint64_t> cas_counter_{0};
   // flush_all point: items stored before it are dead once now reaches it.

@@ -5,11 +5,14 @@
 // text, borrowed zero-copy payload span, trailer), and — when the socket
 // stops taking bytes — spill everything unsent into the connection's write
 // buffer, copying the payload bytes because the arena borrow ends when the
-// flush returns. The cursor arithmetic (segment index, piece index, offset
-// within the piece) and the spill are identical whether the bytes move via
-// writev(2) (epoll backend) or an io_uring SENDMSG completion (uring
-// backend), so they live here once, templated on the write primitive, and
-// are unit-tested for mid-segment resume without a socket in sight
+// flush returns (the handler's ReleaseBurstPins returns the leases that
+// kept them in place). A borrowed GET hit is three pieces, so a whole
+// burst (at most 64 frames, 127 keys) fits one gather-write call. The cursor
+// arithmetic (segment index, piece index, offset within the piece) and the
+// spill are identical whether the bytes move via writev(2) (epoll backend)
+// or an io_uring SENDMSG completion (uring backend), so they live here
+// once, templated on the write primitive, and are unit-tested for
+// mid-segment resume without a socket in sight
 // (tests/segment_flush_test.cc).
 #pragma once
 
@@ -17,6 +20,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -27,9 +31,10 @@
 namespace cliffhanger {
 namespace net {
 
-// iovec slots per gather-write call — well under any IOV_MAX; larger bursts
-// just take another call.
-constexpr int kMaxFlushIov = 64;
+// iovec slots per gather-write call: the kernel's limit (1024 on Linux),
+// so one writev/SENDMSG carries a whole burst of borrowed GET hits;
+// anything larger just takes another call.
+constexpr int kMaxFlushIov = IOV_MAX;
 
 // The p-th write piece of one response segment (0 = text, 1 = borrowed
 // payload, 2 = trailer). Empty pieces are skipped by the cursor logic.

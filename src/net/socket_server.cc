@@ -653,7 +653,7 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
     }
     if (alive) alive = FlushSegments(conn, *segments, segments->size());
     // The borrowed payload spans are now either on the wire or copied into
-    // wr; a handler that pinned shard locks to keep them alive lets go.
+    // wr; the handler returns whatever kept them in place.
     handler_->ReleaseBurstPins();
   }
   if (conn->rd_offset > 0) {
@@ -967,7 +967,7 @@ void SocketServer::ServiceConnectionUring(
       const bool alive =
           UringFlushBurst(worker, conn, *segments, segments->size());
       // The borrowed payload spans are now either on the wire or copied
-      // into wr; a handler that pinned shard locks lets go.
+      // into wr; the handler returns whatever kept them in place.
       handler_->ReleaseBurstPins();
       if (!alive) {
         CloseConnectionUring(worker, conn);

@@ -102,10 +102,11 @@ class CommandHandler {
   // one-command-at-a-time session.
   virtual bool HandleBatch(const Command* cmds, size_t count,
                            std::vector<ResponseSegment>* segments) = 0;
-  // Called after every FlushSegments for a burst whose segments this
-  // handler produced — the borrowed payload spans are dead from here on.
-  // Handlers that pinned shard locks to keep those spans alive release
-  // them now; the default has nothing to release.
+  // Called on the worker thread after every FlushSegments for a burst whose
+  // segments this handler produced — the borrowed payload spans are dead
+  // from here on. A handler that keeps those spans alive (CacheAdapter
+  // holds a borrow lease per borrowed GET hit, with no lock held across
+  // the flush) lets go of them now; the default has nothing to release.
   virtual void ReleaseBurstPins() {}
 };
 

@@ -528,11 +528,11 @@ TEST(AsciiParserTest, ByteAtATimeParsesIdentically) {
 
 TEST(AsciiSerializerTest, ValueResponses) {
   std::string out;
-  AppendValueResponse(&out, "k", 42, "hello");
-  EXPECT_EQ(out, "VALUE k 42 5\r\nhello\r\n");
+  AppendValueHeader(&out, "k", 42, 5);
+  EXPECT_EQ(out, "VALUE k 42 5\r\n");
   out.clear();
-  AppendValueResponseCas(&out, "k", 0, "", 99);
-  EXPECT_EQ(out, "VALUE k 0 0 99\r\n\r\n");
+  AppendValueHeaderCas(&out, "k", 0, 0, 99);
+  EXPECT_EQ(out, "VALUE k 0 0 99\r\n");
 }
 
 TEST(AsciiSerializerTest, StatAndErrorLines) {

@@ -3,25 +3,36 @@
 //
 // The global operator new/delete are overridden in this translation unit
 // (this test gets its own binary, so nothing else is affected) with a
-// windowed counter. A ShardedCacheServer running real value storage is
-// churned through eviction-heavy SET/GET traffic until every pool is at
-// its high-water mark — queue node arenas, flat indexes, value-arena pages
-// and free lists — and then the same traffic runs again with counting on.
-// Any allocation inside the window is a regression: payload writes must be
-// memcpy into recycled slots, index updates must be open-addressing
-// relinks, and evictions must push slots onto free lists.
+// windowed counter that sees the nothrow forms too (std::stable_sort's
+// temporary buffer comes from one). A ShardedCacheServer running real
+// value storage is churned through eviction-heavy SET/GET traffic until
+// every pool is at its high-water mark — queue node arenas, flat indexes,
+// value-arena pages and free lists — and then the same traffic runs again
+// with counting on. Any allocation inside the window is a regression:
+// payload writes must be memcpy into recycled slots, index updates must be
+// open-addressing relinks, and evictions must push slots onto free lists.
+//
+// The second proof covers the network adapter's burst path on top:
+// CacheAdapter::HandleBatch + ReleaseBurstPins over pre-parsed mixed
+// bursts whose GET hits borrow their payloads under leases while SETs
+// overwrite and evict the borrowed slots and incr/append rewrite them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sharded_server.h"
+#include "net/ascii_protocol.h"
+#include "net/cache_adapter.h"
 #include "sim/experiment.h"
 #include "util/hashing.h"
+#include "util/slab_geometry.h"
 
 namespace {
 
@@ -42,9 +53,15 @@ void* CountedAlloc(size_t size) {
 void* operator new(size_t size) { return CountedAlloc(size); }
 void* operator new[](size_t size) { return CountedAlloc(size); }
 void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   return std::malloc(size);
 }
 void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   return std::malloc(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -133,6 +150,162 @@ TEST_P(HotPathAllocTest, SteadyStateGetSetAllocatesNothing) {
   const ClassStats stats = rig.server.MergedStats();
   EXPECT_GT(stats.gets, 0u);
   EXPECT_LT(stats.hits, stats.gets);
+}
+
+// Mixed 64-command bursts for the adapter, pre-parsed once (the Commands
+// alias `text`). Values are at least kMinBorrowBytes unless noted. Per
+// burst:
+//  - a multiget of eight hot keys and a get of the key the next SET
+//    overwrites (borrowed hits), then that SET and a re-get;
+//  - get + incr + get of a counter (a copied hit) and get + append + gets
+//    of a splice key (a copy-on-write of its leased slot; the key is reset
+//    each burst);
+//  - app 2 (one 64 KiB page per shard, one 40000-byte value each): a get
+//    of the previous burst's big keys, then SETs of new ones that evict
+//    them while they are borrowed;
+//  - SETs of fresh churn keys and a get of a recent one, to the burst's
+//    64 commands.
+struct AdapterBursts {
+  static constexpr int kBursts = 8;
+  static constexpr size_t kCommands = 64;
+
+  AdapterBursts() {
+    // At least kMinBorrowBytes, so their hits borrow.
+    const std::string value(1500, 's');
+    const std::string big(40000, 'B');
+    for (int b = 0; b < kBursts; ++b) {
+      std::string& t = text[static_cast<size_t>(b)];
+      const auto set = [&t](const std::string& key, const std::string& v) {
+        t += "set " + key + " 0 0 " + std::to_string(v.size()) + "\r\n" +
+             v + "\r\n";
+      };
+      const std::string hot = "h" + std::to_string(b % 8);
+      t += "get h0 h1 h2 h3 h4 h5 h6 h7\r\nget " + hot + "\r\n";
+      set(hot, std::string(value.size(), static_cast<char>('a' + b)));
+      t += "get " + hot + "\r\n";
+      t += "get n\r\nincr n 1\r\nget n\r\n";
+      set("cat", std::string(1100, 'h'));
+      t += "get cat\r\nappend cat 0 0 4\r\ntail\r\ngets cat\r\n";
+      const int prev = (b + kBursts - 1) % kBursts;
+      t += "get app2:big" + std::to_string(prev) + "a app2:big" +
+           std::to_string(prev) + "b\r\n";
+      set("app2:big" + std::to_string(b) + "a", big);
+      set("app2:big" + std::to_string(b) + "b", big);
+      t += "get app2:big" + std::to_string(prev) + "a\r\n";
+      int c = 0;
+      while (Count(t) < kCommands - 1) {
+        set("c" + std::to_string(b) + "_" + std::to_string(c++), value);
+      }
+      t += "get c" + std::to_string(b) + "_0\r\n";
+    }
+    for (int b = 0; b < kBursts; ++b) {
+      const std::string& t = text[static_cast<size_t>(b)];
+      net::AsciiParser parser;
+      size_t offset = 0;
+      while (offset < t.size()) {
+        net::Command cmd;
+        size_t consumed = 0;
+        const net::ParseStatus status =
+            parser.Next(std::string_view(t).substr(offset), &consumed, &cmd);
+        offset += consumed;
+        if (status != net::ParseStatus::kCommand) break;
+        cmds[static_cast<size_t>(b)].push_back(cmd);
+      }
+    }
+  }
+
+  // Commands in a request text: request lines, not data blocks.
+  static size_t Count(const std::string& t) {
+    size_t n = 0;
+    for (size_t pos = 0; pos < t.size();) {
+      const size_t eol = t.find("\r\n", pos);
+      const std::string_view line(t.data() + pos, eol - pos);
+      ++n;
+      pos = eol + 2;
+      if (line.substr(0, 4) == "set " || line.substr(0, 7) == "append ") {
+        const size_t bytes =
+            std::stoul(std::string(line.substr(line.rfind(' ') + 1)));
+        pos += bytes + 2;
+      }
+    }
+    return n;
+  }
+
+  std::string text[kBursts];
+  std::vector<net::Command> cmds[kBursts];
+};
+
+TEST_P(HotPathAllocTest, AdapterBurstsWithBorrowedHitsAllocateNothing) {
+  ShardedServerConfig config;
+  config.server = GetParam() ? CliffhangerServerConfig()
+                             : DefaultServerConfig();
+  config.server.store_values = true;
+  config.num_shards = 2;
+  config.rebalance_interval_ops = 1ULL << 40;  // see HotPathRig
+  ShardedCacheServer server(config);
+  server.AddApp(1, 4ULL << 20);
+  server.AddApp(2, 2 * kPageSize);  // one 64 KiB page per shard
+  net::CacheAdapterConfig adapter_config;
+  adapter_config.clock = [] { return 100u; };
+  net::CacheAdapter adapter(&server, adapter_config);
+  const AdapterBursts bursts;
+  for (int b = 0; b < AdapterBursts::kBursts; ++b) {
+    ASSERT_EQ(bursts.cmds[b].size(), AdapterBursts::kCommands);
+  }
+  {
+    // Seeds the counter before the first incr.
+    net::Command seed;
+    size_t consumed = 0;
+    net::AsciiParser parser;
+    const std::string text = "set n 0 0 1\r\n0\r\n";
+    ASSERT_EQ(parser.Next(text, &consumed, &seed),
+              net::ParseStatus::kCommand);
+    std::string out;
+    adapter.Handle(seed, &out);
+    ASSERT_EQ(out, "STORED\r\n");
+  }
+
+  std::vector<net::ResponseSegment> segments;
+  uint64_t borrowed = 0;
+  uint64_t max_retired = 0;
+  const auto pass = [&](bool inspect) {
+    for (int b = 0; b < AdapterBursts::kBursts; ++b) {
+      for (net::ResponseSegment& seg : segments) seg.Reset();
+      adapter.HandleBatch(bursts.cmds[b].data(), bursts.cmds[b].size(),
+                          &segments);
+      for (const net::ResponseSegment& seg : segments) {
+        if (seg.payload != nullptr) ++borrowed;
+      }
+      if (inspect) {
+        // Outside the counted window (the snapshot allocates).
+        max_retired = std::max(max_retired,
+                               server.MergedValueStats().retired_slots);
+      }
+      adapter.ReleaseBurstPins();
+    }
+  };
+  // Warm-up: every segment string, thread-local scratch vector, index and
+  // arena reaches its high-water mark.
+  for (int warm = 0; warm < 4; ++warm) pass(false);
+
+  borrowed = 0;
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  pass(false);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+      << "heap allocations leaked into the adapter's burst path";
+
+  // The window did the work it claims: hits were borrowed, and a pass
+  // retires borrowed slots (overwritten, rewritten or evicted) that come
+  // back once the leases are returned.
+  EXPECT_GE(borrowed, 10u * AdapterBursts::kBursts);
+  pass(true);
+  EXPECT_GT(max_retired, 0u);
+  const ShardedCacheServer::ValueStats vs = server.MergedValueStats();
+  EXPECT_EQ(vs.leases, 0u);
+  EXPECT_EQ(vs.retired_slots, 0u);
+  EXPECT_TRUE(server.CheckInvariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, HotPathAllocTest,

@@ -576,6 +576,90 @@ TEST_P(NetE2eTest, ManyConnectionsHammerConcurrently) {
             static_cast<uint64_t>(kThreads) * kOpsPerThread - 1);
 }
 
+TEST_P(NetE2eTest, BorrowedGetHitsSurviveConcurrentOverwrites) {
+  // Two workers: one connection streams pipelined `get hot` while another
+  // overwrites `hot` with distinct payloads. Every GET hit leaves straight
+  // from the value arena under a borrow lease and no shard lock is held
+  // across the write, so the overwrites — same slab class, and across
+  // classes (a re-slab) — race the flushes of borrowed payloads. Each
+  // reply must still be exactly one complete stored value.
+  net_config_template_.num_workers = 2;
+  StartDefaultServer();
+  const auto value_of = [](int v) {
+    // Large enough to borrow (net::kMinBorrowBytes).
+    const size_t size = v % 3 == 0 ? 3000 : 1100 + v % 7;
+    std::string value(size, static_cast<char>('a' + v % 26));
+    const std::string tag = "v" + std::to_string(v) + ":";
+    value.replace(0, tag.size(), tag);
+    return value;
+  };
+  net::AsciiClient writer = MakeClient();
+  ASSERT_EQ(writer.Set("hot", value_of(0)),
+            net::AsciiClient::StoreResult::kStored);
+
+  constexpr int kVersions = 400;
+  constexpr int kPipeline = 32;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> bad_replies{0};
+  std::atomic<int> hits{0};
+  std::thread reader([&] {
+    net::AsciiClient client;
+    if (!client.Connect("127.0.0.1", socket_server_->port())) {
+      bad_replies.fetch_add(1);
+      return;
+    }
+    std::string pipeline;
+    for (int i = 0; i < kPipeline; ++i) pipeline += "get hot\r\n";
+    for (int round = 0; round < 20 || !writer_done.load(); ++round) {
+      if (!client.SendRaw(pipeline)) {
+        bad_replies.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kPipeline; ++i) {
+        std::string header;
+        std::string data;
+        std::string end;
+        const std::string prefix = "VALUE hot 0 ";
+        if (!client.ReadLine(&header) ||
+            header.compare(0, prefix.size(), prefix) != 0) {
+          bad_replies.fetch_add(1);
+          return;
+        }
+        const size_t size = std::stoul(header.substr(prefix.size()));
+        if (!client.ReadBytes(size + 2, &data) || !client.ReadLine(&end) ||
+            end != "END") {
+          bad_replies.fetch_add(1);
+          return;
+        }
+        data.resize(size);
+        const int version = std::atoi(data.c_str() + 1);
+        if (data != value_of(version)) bad_replies.fetch_add(1);
+        hits.fetch_add(1);
+      }
+    }
+    client.Quit();
+  });
+  for (int v = 1; v < kVersions; ++v) {
+    if (writer.Set("hot", value_of(v)) !=
+        net::AsciiClient::StoreResult::kStored) {
+      bad_replies.fetch_add(1);
+      break;
+    }
+  }
+  writer_done.store(true);
+  reader.join();
+  writer.Quit();
+  EXPECT_EQ(bad_replies.load(), 0);
+  EXPECT_GE(hits.load(), 20 * kPipeline);
+
+  // With the workers stopped every lease is back and no slot is retired.
+  socket_server_->Stop();
+  const ShardedCacheServer::ValueStats vs = server_->MergedValueStats();
+  EXPECT_EQ(vs.leases, 0u);
+  EXPECT_EQ(vs.retired_slots, 0u);
+  EXPECT_TRUE(server_->CheckInvariants());
+}
+
 // --- The new verbs: cas / arithmetic / concat / touch / flush ------------
 
 TEST_P(NetE2eTest, CasStoresOnlyAtTheRightVersion) {

@@ -165,11 +165,13 @@ TEST(SegmentFlushTest, DribbleOfOneByteWritesStillCompletes) {
 }
 
 TEST(SegmentFlushTest, MoreSegmentsThanIovSlotsFlushesInMultipleCalls) {
-  // 50 segments x 3 pieces = 150 pieces > kMaxFlushIov, so the gather loop
-  // must wrap around and keep going from the cursor.
+  // Three pieces per segment and enough segments for more than two full
+  // gathers (3 * n > 2 * kMaxFlushIov), so the gather loop must wrap
+  // around and keep going from the cursor at least twice.
   const std::string payload = "PAY";
+  const int n = 2 * kMaxFlushIov / 3 + 2;
   std::vector<ResponseSegment> segments;
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < n; ++i) {
     segments.push_back(
         MakeSegment("t" + std::to_string(i), &payload, "|"));
   }
@@ -181,6 +183,27 @@ TEST(SegmentFlushTest, MoreSegmentsThanIovSlotsFlushesInMultipleCalls) {
   EXPECT_EQ(sink.sink, Concatenated(segments));
   EXPECT_TRUE(wr.empty());
   EXPECT_GE(sink.calls, 3);  // needed more than one gather
+}
+
+TEST(SegmentFlushTest, LargestBurstOfBorrowedHitsFlushesInOneCall) {
+  // A burst holds at most 64 frames and 127 GET keys: each hit is three
+  // pieces (header, borrowed payload, CRLF) and each get/gets adds an END
+  // segment. Together with a queued wr tail that is one gather-write.
+  const std::string payload(100, 'p');
+  std::vector<ResponseSegment> segments;
+  for (int i = 0; i < 127; ++i) {
+    segments.push_back(MakeSegment("VALUE k 0 100\r\n", &payload, "\r\n"));
+  }
+  for (int i = 0; i < 64; ++i) {
+    segments.push_back(MakeSegment("END\r\n", nullptr, ""));
+  }
+  std::string wr = "queued";
+  size_t wr_offset = 0;
+  ThrottledSink sink;
+  ASSERT_TRUE(FlushSegmentsVia(sink, &wr, &wr_offset, segments.data(),
+                               segments.size()));
+  EXPECT_EQ(sink.sink, "queued" + Concatenated(segments));
+  EXPECT_EQ(sink.calls, 1);
 }
 
 TEST(SegmentFlushTest, DeadSocketReportsFailure) {
