@@ -15,11 +15,6 @@
 //        --connections LIST   comma-separated connection counts, e.g.
 //                             1,64,256,1024 — one scaling row per count
 //                             (default: sweep 1,2,4)
-//        --backend B          epoll | uring event loop for the
-//                             in-process server (default epoll; ignored with
-//                             --connect, where the external daemon picked its
-//                             own). uring falls back to epoll when the kernel
-//                             denies io_uring; rows record what actually ran.
 //        --requests N         logical requests per connection (default 20000)
 //        --universe N         key universe per connection stream (default 20000)
 //        --get-fraction F     GET share of the mix (default 0.967)
@@ -70,7 +65,6 @@ struct Options {
   std::string connect_host;  // empty = in-process server
   uint16_t connect_port = 0;
   std::vector<size_t> connections;  // empty = sweep {1, 2, 4}
-  net::SocketBackend backend = net::SocketBackend::kEpoll;
   uint64_t requests = 20000;
   uint64_t universe = 20000;
   double get_fraction = 0.967;
@@ -460,8 +454,7 @@ std::vector<Row> RunMixLoad(const std::string& host, uint16_t port,
   return rows;
 }
 
-void PrintJson(const Options& opt, const std::string& backend_label,
-               const std::vector<Row>& rows) {
+void PrintJson(const Options& opt, const std::vector<Row>& rows) {
   std::printf("{\n");
   std::printf("  \"benchmark\": \"table8_netperf\",\n");
   std::printf("  \"hardware_concurrency\": %u,\n",
@@ -473,11 +466,11 @@ void PrintJson(const Options& opt, const std::string& backend_label,
   }
   std::printf("  \"transport\": \"%s\",\n",
               opt.connect_host.empty() ? "loopback_inprocess" : "remote");
-  // The backend that actually served the rows: the in-process server's
-  // effective backend after the io_uring probe (so a uring request that
-  // fell back is recorded as epoll), or "external" for --connect, where
-  // the daemon picked its own event loop.
-  std::printf("  \"backend\": \"%s\",\n", backend_label.c_str());
+  // The event loop that served the rows: the in-process server's epoll
+  // loop, or "external" for --connect, where the rows measure whatever
+  // daemon answered.
+  const char* backend_label = opt.connect_host.empty() ? "epoll" : "external";
+  std::printf("  \"backend\": \"%s\",\n", backend_label);
   // In-process rows each get a fresh server; --connect rows replay into
   // one external daemon whose cache warms across rows. Record that, so
   // cross-row (or cross-mode) comparisons can't silently mix the two.
@@ -504,7 +497,7 @@ void PrintJson(const Options& opt, const std::string& backend_label,
         "\"gets\": %llu, \"hit_rate\": %.4f, \"seconds\": %.6f, "
         "\"ops_per_sec\": %.1f, \"mean_us\": %.2f, \"p50_us\": %.2f, "
         "\"p95_us\": %.2f, \"p99_us\": %.2f}%s\n",
-        r.name.c_str(), backend_label.c_str(), r.connections,
+        r.name.c_str(), backend_label, r.connections,
         value_size_field.c_str(),
         static_cast<unsigned long long>(r.ops),
         static_cast<unsigned long long>(r.gets),
@@ -563,13 +556,6 @@ int Main(int argc, char** argv) {
         opt.connections.push_back(parsed);
         token.clear();
         if (*p == '\0') break;
-      }
-    } else if (std::strcmp(argv[i], "--backend") == 0) {
-      const char* v = next();
-      if (v == nullptr) return 1;
-      if (!net::ParseSocketBackend(v, &opt.backend)) {
-        std::fprintf(stderr, "--backend expects epoll|uring\n");
-        return 1;
       }
     } else if (std::strcmp(argv[i], "--requests") == 0) {
       const char* v = next();
@@ -646,9 +632,9 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--connect HOST:PORT] [--connections N[,N...]] "
-                   "[--backend epoll|uring] [--requests N] [--universe N] "
-                   "[--get-fraction F] [--value-size N[,N...]] [--mix] "
-                   "[--workers N] [--shards N] [--mode default|cliffhanger]\n",
+                   "[--requests N] [--universe N] [--get-fraction F] "
+                   "[--value-size N[,N...]] [--mix] [--workers N] "
+                   "[--shards N] [--mode default|cliffhanger]\n",
                    argv[0]);
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 1;
     }
@@ -676,12 +662,6 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
-  // What actually served the rows; refined to the effective backend once
-  // the first in-process server is up (the probe result is stable across
-  // rows on one host).
-  std::string backend_label = opt.connect_host.empty()
-                                  ? net::SocketBackendName(opt.backend)
-                                  : "external";
   for (const auto& [connections, value_size] : sweep) {
     std::string host = opt.connect_host;
     uint16_t port = opt.connect_port;
@@ -705,7 +685,6 @@ int Main(int argc, char** argv) {
       net::SocketServerConfig net_config;
       net_config.port = 0;
       net_config.num_workers = opt.workers;
-      net_config.backend = opt.backend;
       // The sweep's largest row must not trip listen-queue overflow when
       // all its connections dial in at once.
       net_config.backlog = static_cast<int>(
@@ -721,14 +700,6 @@ int Main(int argc, char** argv) {
       }
       host = "127.0.0.1";
       port = socket_server->port();
-      backend_label =
-          net::SocketBackendName(socket_server->effective_backend());
-      if (socket_server->effective_backend() != opt.backend) {
-        std::fprintf(stderr, "netperf: requested backend unavailable (%s); "
-                     "rows record the %s fallback\n",
-                     socket_server->backend_fallback_reason().c_str(),
-                     backend_label.c_str());
-      }
     }
     if (opt.mix) {
       std::vector<Row> mix_rows = RunMixLoad(host, port, opt, connections);
@@ -739,7 +710,7 @@ int Main(int argc, char** argv) {
     }
     if (socket_server) socket_server->Stop();
   }
-  PrintJson(opt, backend_label, rows);
+  PrintJson(opt, rows);
   return 0;
 }
 

@@ -721,9 +721,6 @@ CacheAdapter::Counters CacheAdapter::counters() const {
   c.cmd_delete = cmd_delete_.load(std::memory_order_relaxed);
   c.delete_hits = delete_hits_.load(std::memory_order_relaxed);
   c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  // Live value bytes come from the arenas themselves — the accounting is
-  // the storage, so it cannot drift.
-  c.bytes_stored = server_->MergedValueStats().value_bytes;
   c.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   c.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   return c;

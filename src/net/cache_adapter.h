@@ -128,15 +128,15 @@ class CacheAdapter final : public CommandHandler {
   // returned. The socket server only calls HandleBatch; this is for
   // callers that hold a single parsed command.
   bool Handle(const Command& cmd, std::string* out) override;
-  // Burst entry point (both socket backends): consecutive shardable
-  // commands are grouped by shard and executed under ONE core ShardBatch
-  // per shard per run, instead of one lock acquisition per op; each shard
-  // lock is released when its group finishes. Response slots are claimed
-  // in command/key order, so the segment sequence is byte-identical to
-  // handling the commands one at a time: ops on different shards touch
-  // disjoint state, and same-key ops always hash to the same shard, where
-  // the grouping preserves their order (read-your-write within a
-  // pipelined burst included). A GET hit of kMinBorrowBytes or more
+  // Burst entry point, called once per burst by the socket server:
+  // consecutive shardable commands are grouped by shard and executed under
+  // ONE core ShardBatch per shard per run, instead of one lock acquisition
+  // per op; each shard lock is released when its group finishes. Response
+  // slots are claimed in command/key order, so the segment sequence is
+  // byte-identical to handling the commands one at a time: ops on different
+  // shards touch disjoint state, and same-key ops always hash to the same
+  // shard, where the grouping preserves their order (read-your-write
+  // within a pipelined burst included). A GET hit of kMinBorrowBytes or more
   // borrows its payload from the value arena under a lease (see
   // "Zero-copy GET" above).
   // Barrier commands (stats/version/flush_all/quit/errors) go to Handle()
@@ -150,7 +150,9 @@ class CacheAdapter final : public CommandHandler {
   // all three): the payload spans die here.
   void ReleaseBurstPins() override;
 
-  // Protocol-level counters (what `stats` reports, memcached names).
+  // Protocol-level counters (what `stats` reports, memcached names). Live
+  // value bytes are not among them: `stats` reads those from the arenas
+  // (ShardedCacheServer::MergedValueStats), under every shard lock.
   struct Counters {
     uint64_t cmd_get = 0;        // keys requested via get/gets
     uint64_t get_hits = 0;
@@ -172,7 +174,6 @@ class CacheAdapter final : public CommandHandler {
     uint64_t cmd_delete = 0;
     uint64_t delete_hits = 0;
     uint64_t protocol_errors = 0;
-    uint64_t bytes_stored = 0;   // live value bytes in the core arenas
     uint64_t bytes_read = 0;     // payload bytes accepted by stores
     uint64_t bytes_written = 0;  // payload bytes served by get hits
   };

@@ -52,9 +52,6 @@ void Usage(const char* argv0) {
       "usage: %s [options]\n"
       "  --port N          listen port (default 11311; 0 = ephemeral)\n"
       "  --workers N       connection worker threads (default 2)\n"
-      "  --backend B       epoll | uring event loop (default epoll;\n"
-      "                    uring falls back to epoll if the kernel denies\n"
-      "                    io_uring — the banner reports what runs)\n"
       "  --shards N        cache shards (default 4)\n"
       "  --mode M          default | cliffhanger (default cliffhanger)\n"
       "  --eviction E      lru | midpoint (default lru; arc/lfu are\n"
@@ -69,7 +66,6 @@ void Usage(const char* argv0) {
 int Main(int argc, char** argv) {
   uint16_t port = 11311;
   size_t workers = 2;
-  net::SocketBackend backend = net::SocketBackend::kEpoll;
   size_t shards = 4;
   bool cliffhanger_mode = true;
   EvictionScheme eviction = EvictionScheme::kLru;
@@ -96,11 +92,6 @@ int Main(int argc, char** argv) {
         return Usage(argv[0]), 1;
       }
       workers = parsed;
-    } else if (std::strcmp(argv[i], "--backend") == 0) {
-      const char* v = next();
-      if (v == nullptr || !net::ParseSocketBackend(v, &backend)) {
-        return Usage(argv[0]), 1;
-      }
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       const char* v = next();
       uint64_t parsed = 0;
@@ -223,7 +214,6 @@ int Main(int argc, char** argv) {
   net::SocketServerConfig net_config;
   net_config.port = port;
   net_config.num_workers = workers;
-  net_config.backend = backend;
   net::SocketServer socket_server(net_config, &adapter);
   std::string error;
   if (!socket_server.Start(&error)) {
@@ -234,13 +224,10 @@ int Main(int argc, char** argv) {
   ::signal(SIGINT, OnSignal);
   ::signal(SIGTERM, OnSignal);
 
-  // Banner reports the backend that actually runs (the io_uring probe may
-  // have downgraded a uring request; SocketServer already logged why).
   std::fprintf(stderr,
                "cliffhangerd listening on port %u (%zu workers, %zu shards, "
-               "%s backend, %s mode, %zu app%s)\n",
+               "epoll backend, %s mode, %zu app%s)\n",
                socket_server.port(), workers, shards,
-               net::SocketBackendName(socket_server.effective_backend()),
                cliffhanger_mode ? "cliffhanger" : "default", apps.size(),
                apps.size() == 1 ? "" : "s");
   while (!g_stop.load()) {

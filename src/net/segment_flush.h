@@ -1,19 +1,18 @@
-// Shared partial-write bookkeeping for response-segment flushes.
+// Partial-write bookkeeping for response-segment flushes.
 //
-// Every backend flushes a burst the same way: scatter-gather the queued
-// write-buffer tail plus each ResponseSegment's up-to-three pieces (protocol
-// text, borrowed zero-copy payload span, trailer), and — when the socket
-// stops taking bytes — spill everything unsent into the connection's write
-// buffer, copying the payload bytes because the arena borrow ends when the
-// flush returns (the handler's ReleaseBurstPins returns the leases that
-// kept them in place). A borrowed GET hit is three pieces, so a whole
-// burst (at most 64 frames, 127 keys) fits one gather-write call. The cursor
-// arithmetic (segment index, piece index, offset within the piece) and the
-// spill are identical whether the bytes move via writev(2) (epoll backend)
-// or an io_uring SENDMSG completion (uring backend), so they live here
-// once, templated on the write primitive, and are unit-tested for
-// mid-segment resume without a socket in sight
-// (tests/segment_flush_test.cc).
+// The socket server flushes a burst by scatter-gathering the queued
+// write-buffer tail plus each ResponseSegment's up-to-three pieces
+// (protocol text, borrowed zero-copy payload span, trailer), and — when the
+// socket stops taking bytes — spilling everything unsent into the
+// connection's write buffer, copying the payload bytes because the arena
+// borrow ends when the flush returns (the handler's ReleaseBurstPins
+// returns the leases that kept them in place). A borrowed GET hit is three
+// pieces, so a whole burst (at most 64 frames, 127 keys) fits one
+// gather-write call. The cursor arithmetic (segment index, piece index,
+// offset within the piece) and the spill live here, templated on the write
+// primitive: production passes writev(2) (SocketServer::FlushSegments), and
+// tests/segment_flush_test.cc passes a fake with a programmable byte budget,
+// so mid-segment resume is unit-tested without a socket in sight.
 #pragma once
 
 #include <sys/uio.h>
@@ -32,7 +31,7 @@ namespace cliffhanger {
 namespace net {
 
 // iovec slots per gather-write call: the kernel's limit (1024 on Linux),
-// so one writev/SENDMSG carries a whole burst of borrowed GET hits;
+// so one writev carries a whole burst of borrowed GET hits;
 // anything larger just takes another call.
 constexpr int kMaxFlushIov = IOV_MAX;
 

@@ -4,37 +4,24 @@
 // about caches — it feeds parsed Commands to a CommandHandler and writes
 // back whatever the handler appended.
 //
-// Two event-loop backends, selected by SocketServerConfig::backend, share
-// one burst cycle (CollectBurst -> CommandHandler::HandleBatch -> flush the
-// response segments) and differ only in how they wait and move bytes:
-//  - kEpoll (default): each worker owns an epoll instance; connections are
-//    registered once at adoption, and interest (EPOLLIN/EPOLLOUT) is only
-//    re-armed via EPOLL_CTL_MOD when it actually changes — no per-iteration
-//    fd-set rebuild. Each wakeup runs a run-to-completion burst: drain the
-//    socket, parse up to max_burst_frames pipelined frames, hand the whole
-//    burst to CommandHandler::HandleBatch (one per-shard lock per burst
-//    downstream), then flush the response segments with writev scatter-
-//    gather straight from the handler's segments — no concatenation copy.
-//  - kUring: the same burst model with the syscalls submerged into io_uring.
-//    Reads complete into a provided-buffer group the kernel picks from (no
-//    recv syscall, no dedicated buffer per armed connection), each burst's
-//    responses leave as one batched SENDMSG SQE, read re-arms and buffer
-//    returns ride the same io_uring_submit, the mailbox wake is a
-//    registered eventfd read, and the acceptor arms one multishot accept
-//    SQE instead of calling accept4 per connection. Requires kernel
-//    support, probed at Start(); otherwise falls back to kEpoll with a
-//    logged reason so restricted kernels/containers still serve.
-// SocketBackend::kPoll has no loop: Start() resolves it to kEpoll through
-// the same fallback, with a reason. It stays declared so that code naming
-// it still compiles.
+// One event loop serves every connection: each worker owns an epoll
+// instance; connections are registered once at adoption, and interest
+// (EPOLLIN/EPOLLOUT) is only re-armed via EPOLL_CTL_MOD when it actually
+// changes — no per-iteration fd-set rebuild. Each wakeup runs a
+// run-to-completion burst cycle: drain the socket, parse up to
+// max_burst_frames pipelined frames (CollectBurst), hand the whole burst to
+// CommandHandler::HandleBatch (one per-shard lock per burst downstream),
+// flush the response segments with one writev scatter-gather straight from
+// the handler's segments — no concatenation copy — and then let the handler
+// release the burst's borrowed payloads (ReleaseBurstPins).
 //
-// Connection lifecycle (both backends):
-//  - The acceptor waits on the listen socket (poll(2) under kEpoll, a
-//    multishot accept SQE under kUring), takes connections in batches,
-//    sets O_NONBLOCK + TCP_NODELAY, and hands each fd to the least-loaded
-//    worker via a mutexed mailbox + wake. On EMFILE or ENFILE it backs off
-//    waiting on the wake pipe (so Stop() and fd-freeing closes interrupt
-//    the backoff instead of waiting out a sleep).
+// Connection lifecycle:
+//  - The acceptor waits on the listen socket with poll(2), takes
+//    connections in batches, sets O_NONBLOCK + TCP_NODELAY, and hands each
+//    fd to the least-loaded worker via a mutexed mailbox + wake-pipe byte.
+//    On EMFILE or ENFILE it backs off waiting on the wake pipe (so Stop()
+//    and fd-freeing closes interrupt the backoff instead of waiting out a
+//    sleep).
 //  - Reads append to the connection's read buffer; the parse loop drains
 //    every complete pipelined frame. Partial frames stay buffered; partial
 //    writes stay queued. Buffers that ballooned past
@@ -49,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -84,8 +70,8 @@ class CommandHandler {
   virtual ~CommandHandler() = default;
   // Appends the response for `cmd` (if any) to *out. Returns false to close
   // the connection after *out is flushed (quit). The server never calls
-  // it (every backend runs bursts through HandleBatch); it stays part of
-  // the interface for handlers and callers that work one command at a time.
+  // it (its burst cycle runs through HandleBatch); it stays part of the
+  // interface for handlers and callers that work one command at a time.
   virtual bool Handle(const Command& cmd, std::string* out) = 0;
   // Handles a burst of pipelined commands, filling response segments so the
   // caller can writev them without concatenating. A command may produce
@@ -110,29 +96,22 @@ class CommandHandler {
   virtual void ReleaseBurstPins() {}
 };
 
+// There is one event loop, epoll, and nothing selects a backend. The enum
+// keeps all three values only because perfbench/src/main.cc names them (it
+// prints the backend that served a run), and perfbench/ changes only
+// together with the benchmark. Keep the order: kEpoll's byte, <01>, ends
+// every Backends/NetE2eTest ctest name. The next benchmark change can drop
+// the enum and the two SocketServer accessors that report it.
 enum class SocketBackend : uint8_t {
-  kPoll,   // no loop of its own: Start() falls back to kEpoll with a reason
-  kEpoll,  // epoll + burst batching: register-once, HandleBatch, writev
-  kUring,  // io_uring: same burst model, but reads complete into a
-           // kernel-selected provided-buffer group, burst responses go out
-           // as one batched SENDMSG SQE, and re-arms ride the same submit —
-           // steady-state GET/SET costs no per-op syscall beyond it. Falls
-           // back to kEpoll at Start() (with a logged reason) when the
-           // kernel or a seccomp policy denies io_uring.
+  kPoll,   // never reported: its loop is gone
+  kEpoll,  // the one loop: register-once epoll, HandleBatch, writev
+  kUring,  // never reported: its loop is gone
 };
-
-// The command-line spelling of a backend ("epoll", "uring"; "poll" for
-// kPoll), and its inverse for --backend flags. The parser accepts only the
-// two backends that serve: "epoll" and "uring".
-[[nodiscard]] const char* SocketBackendName(SocketBackend backend);
-[[nodiscard]] bool ParseSocketBackend(std::string_view name,
-                                      SocketBackend* backend);
 
 struct SocketServerConfig {
   uint16_t port = 0;  // 0 = ephemeral; the bound port is port() after Start
   size_t num_workers = 2;
   int backlog = 128;
-  SocketBackend backend = SocketBackend::kEpoll;
   // Read-buffer cap: must fit a full storage frame (line + max value + 2).
   size_t max_read_buffer = kMaxLineBytes + kMaxValueBytes + 16;
   // Write-buffer cap: once this many response bytes are pending, the
@@ -153,19 +132,6 @@ struct SocketServerConfig {
   // otherwise persist for the connection's lifetime — at 10k connections
   // one large burst each would pin gigabytes). 0 disables shrinking.
   size_t buffer_shrink_threshold = 256 * 1024;
-  // Uring backend: submission-queue depth per worker ring. Bounds how many
-  // SQEs (read re-arms, buffer returns, the burst write) one submit can
-  // carry; the kernel rounds up to a power of two and sizes the CQ at 2x.
-  unsigned uring_sq_entries = 256;
-  // Uring backend: provided-buffer group per worker — the pool kernel-side
-  // recv completions draw from. The pool only has to cover *completing*
-  // reads within one CQE drain (buffers are returned as soon as each
-  // completion is copied out), not armed connections, so it stays small
-  // even under the 1k-connection soak. -ENOBUFS completions are re-armed
-  // after the drain returns the buffers.
-  unsigned uring_read_buffers = 64;
-  // Uring backend: size of each provided buffer (one recv's max take).
-  unsigned uring_buffer_bytes = 64 * 1024;
 };
 
 class SocketServer {
@@ -183,17 +149,15 @@ class SocketServer {
 
   [[nodiscard]] uint16_t port() const { return port_; }
   [[nodiscard]] bool running() const { return running_.load(); }
-  // The backend actually serving after Start(): kEpoll or kUring. Differs
-  // from the configured one exactly when the server fell back to epoll:
-  // kPoll always does, kUring does when the runtime probe (ring init +
-  // opcode check) fails.
+  // What perfbench records as the serving loop: always kEpoll, and no
+  // fallback reason. Both stay until perfbench/ stops calling them (see
+  // SocketBackend).
   [[nodiscard]] SocketBackend effective_backend() const {
-    return effective_backend_;
+    return SocketBackend::kEpoll;
   }
-  // Non-empty exactly when a kPoll or kUring request fell back to epoll;
-  // the same text is logged to stderr at Start().
   [[nodiscard]] const std::string& backend_fallback_reason() const {
-    return fallback_reason_;
+    static const std::string kNone;
+    return kNone;
   }
   // Connections currently open across all workers (tests/stats).
   [[nodiscard]] size_t active_connections() const {
@@ -211,43 +175,22 @@ class SocketServer {
   [[nodiscard]] uint64_t buffer_releases() const {
     return buffer_releases_.load();
   }
-  // Uring backend test hooks: total io_uring_enter calls that carried
-  // submissions, and total SQEs they carried, summed over every worker ring
-  // and the acceptor ring. The batching proof asserts submits stays far
-  // below the op count (reads, writes, and re-arms share submits) while
-  // sqes_per_submit > 1. Both are 0 under epoll, including after fallback.
-  [[nodiscard]] uint64_t uring_submit_calls() const;
-  [[nodiscard]] uint64_t uring_submitted_sqes() const;
 
  private:
   struct Connection;
   struct Worker;
-  struct UringState;
 
   void AcceptLoop();
-  // io_uring acceptor: multishot accept on the acceptor ring (one armed SQE
-  // produces a CQE per connection) plus the wake pipe read armed through
-  // the same ring; EMFILE backoff is an IORING_OP_TIMEOUT instead of a
-  // blocking poll.
-  void AcceptLoopUring();
   // Distributes a batch of accepted fds to the least-loaded workers (one
   // mailbox lock and one wake byte per worker touched, not per fd).
   void DispatchAccepted(std::vector<int>* fds);
-  void WorkerLoopEpoll(Worker* worker);  // epoll burst backend
-  // io_uring burst backend: a CQE pump. Reads complete into the worker's
-  // provided-buffer group (zero syscalls per read), each completed read
-  // runs the same CollectBurst → HandleBatch → flush cycle, burst
-  // responses go out as one MSG_DONTWAIT SENDMSG SQE reaped inline (so the
-  // arena payload borrow ends inside the burst, exactly like epoll), spill
-  // drains via an async SEND of the stable write buffer, and every re-arm
-  // rides the next submit.
-  void WorkerLoopUring(Worker* worker);
+  void WorkerLoopEpoll(Worker* worker);  // the burst event loop
   // Moves mailbox fds into owned connections, registering each with the
   // worker's epoll instance.
   void AdoptIncoming(Worker* worker);
-  // Epoll backend: full service of one connection event — drain reads,
-  // flush, run the burst cycle (CollectBurst → HandleBatch →
-  // FlushSegments), then close or re-arm interest.
+  // Full service of one connection event — drain reads, flush, run the
+  // burst cycle (CollectBurst → HandleBatch → FlushSegments →
+  // ReleaseBurstPins), then close or re-arm interest.
   void ServiceConnection(Worker* worker, Connection* conn, uint32_t revents,
                          std::vector<char>* read_buf,
                          std::vector<Command>* cmds,
@@ -276,45 +219,12 @@ class SocketServer {
   void MaybeReleaseBuffers(Connection* conn);
   void CloseConnection(Worker* worker, size_t index);
 
-  // --- uring backend helpers (no-ops unless effective_backend_ == kUring).
-  // Dispatches one completion: wake, read, write, buffer-return or cancel.
-  void DispatchUringCqe(Worker* worker, uint64_t user_data, int32_t res,
-                        uint32_t flags, std::vector<Command>* cmds,
-                        std::vector<ResponseSegment>* segments);
-  // The burst cycle + re-arm tail shared by read and write completions.
-  void ServiceConnectionUring(Worker* worker, Connection* conn,
-                              std::vector<Command>* cmds,
-                              std::vector<ResponseSegment>* segments);
-  // One burst's flush: batched SENDMSG SQE (MSG_DONTWAIT | MSG_NOSIGNAL),
-  // submitted with any queued re-arms and reaped inline — foreign CQEs
-  // surfacing during the wait are deferred to the main pump. Returns false
-  // on a dead socket.
-  bool UringFlushBurst(Worker* worker, Connection* conn,
-                       const std::vector<ResponseSegment>& segments,
-                       size_t count);
-  // Begins teardown: cancels armed SQEs and frees the connection once its
-  // in-flight count drains to zero (the fd must stay open until then — a
-  // recycled descriptor would route stale completions to a new peer).
-  void CloseConnectionUring(Worker* worker, Connection* conn);
-  void AdoptIncomingUring(Worker* worker);
-  // SQE preparation helpers (queue only — nothing hits the kernel until the
-  // next submit): provided-buffer RECV arm, async SEND of the wr tail,
-  // eventfd wake read (fixed file 0), single-buffer return, async cancel.
-  static void ArmUringRead(UringState* u, Connection* conn);
-  static void ArmUringWrite(UringState* u, Connection* conn);
-  static void ArmUringWake(UringState* u);
-  static void ProvideUringBuffer(UringState* u, unsigned bid);
-  static void QueueUringCancel(UringState* u, uint64_t target);
-  // Backend-appropriate worker wake: an 8-byte eventfd write (uring) or a
-  // wake-pipe byte (epoll).
+  // Writes one wake-pipe byte: the worker adopts its mailbox fds or, once
+  // stopping_ is set, exits.
   static void WakeWorker(Worker* worker);
 
   SocketServerConfig config_;
   CommandHandler* handler_;
-  // Set by Start(): config_.backend, unless it fell back to kEpoll (kPoll
-  // always; kUring when the runtime probe fails).
-  SocketBackend effective_backend_ = SocketBackend::kEpoll;
-  std::string fallback_reason_;
 
   int listen_fd_ = -1;
   int accept_wake_[2] = {-1, -1};
@@ -332,9 +242,6 @@ class SocketServer {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
-  // Uring backend: the acceptor's own small ring (multishot accept + wake
-  // pipe read + EMFILE backoff timeout). Null under epoll or fallback.
-  std::unique_ptr<UringState> accept_uring_;
 };
 
 }  // namespace net

@@ -42,13 +42,10 @@ namespace {
 
 constexpr uint64_t kMiB = 1ULL << 20;
 
-// Every test runs once per event-loop backend: the epoll burst loop and the
-// io_uring backend must be behaviorally indistinguishable on the wire (both
-// batch per-shard downstream and uring batches syscalls on top, so this
-// doubles as the A/B proof that the syscall batching distorts no
-// response). kUring runs fall back to epoll transparently when the kernel
-// denies io_uring — the fixture still exercises the probe + fallback path
-// in that case, and the uring-specific assertions skip themselves.
+// The server has one event loop. The fixture is parameterized on
+// net::SocketBackend over the single value kEpoll only so that every test
+// keeps its ctest name, "Backends/NetE2eTest.<Name>/Epoll  # GetParam() =
+// 1-byte object <01>", which test records key on.
 class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
  protected:
   void StartServer(
@@ -75,7 +72,6 @@ class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
                                                    adapter_config);
     net::SocketServerConfig net_config = net_config_template_;
     net_config.port = 0;  // ephemeral
-    net_config.backend = GetParam();
     socket_server_ =
         std::make_unique<net::SocketServer>(net_config, adapter_.get());
     std::string error;
@@ -111,18 +107,17 @@ class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
   std::unique_ptr<net::SocketServer> socket_server_;
   std::atomic<uint32_t> fake_now_{0};  // 0 = wall clock
   // Tests tune knobs (shrink threshold, backlog) here before StartServer;
-  // port and backend are always overridden by the fixture.
+  // port is always overridden by the fixture.
   net::SocketServerConfig net_config_template_;
 };
 
 std::string BackendName(
-    const ::testing::TestParamInfo<net::SocketBackend>& info) {
-  return info.param == net::SocketBackend::kUring ? "Uring" : "Epoll";
+    const ::testing::TestParamInfo<net::SocketBackend>&) {
+  return "Epoll";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, NetE2eTest,
-                         ::testing::Values(net::SocketBackend::kEpoll,
-                                           net::SocketBackend::kUring),
+                         ::testing::Values(net::SocketBackend::kEpoll),
                          BackendName);
 
 TEST_P(NetE2eTest, StartStopIsCleanAndIdempotent) {
@@ -933,7 +928,6 @@ TEST_P(NetE2eTest, RepeatedStartStopCyclesStayClean) {
     net::SocketServerConfig net_config;
     net_config.port = 0;
     net_config.num_workers = 2;
-    net_config.backend = GetParam();
     socket_server_ =
         std::make_unique<net::SocketServer>(net_config, adapter_.get());
     std::string error;
@@ -1097,8 +1091,7 @@ TEST_P(NetE2eTest, ThousandPipelinedConnectionsKeepTranscriptsExact) {
   // slow). Every connection pipelines one multi-verb burst whose full
   // response transcript is known in advance; any dropped, duplicated or
   // reordered response — across connections or within a burst — breaks an
-  // exact line match. This is the backend A/B soak for the epoll and
-  // io_uring burst paths.
+  // exact line match. This is the soak for the burst event loop.
 #ifdef CLIFFHANGER_SANITIZED
   constexpr size_t kConns = 128;
 #else
@@ -1800,100 +1793,16 @@ TEST_P(NetE2eTest, FullVerbSocketReplayIsBitIdenticalToLibraryReplay) {
 }
 
 TEST_P(NetE2eTest, EffectiveBackendAndFallbackReasonAreConsistent) {
-  // epoll never falls back; a kUring request either comes up on the
-  // ring (no reason logged) or degrades to epoll with a reason — and the
-  // server must serve traffic identically either way.
+  // What perfbench records for every run: the epoll loop, no fallback.
   StartDefaultServer();
-  const net::SocketBackend effective = socket_server_->effective_backend();
-  if (GetParam() == net::SocketBackend::kUring) {
-    if (effective == net::SocketBackend::kUring) {
-      EXPECT_TRUE(socket_server_->backend_fallback_reason().empty())
-          << socket_server_->backend_fallback_reason();
-    } else {
-      EXPECT_EQ(effective, net::SocketBackend::kEpoll);
-      EXPECT_FALSE(socket_server_->backend_fallback_reason().empty());
-    }
-  } else {
-    EXPECT_EQ(effective, GetParam());
-    EXPECT_TRUE(socket_server_->backend_fallback_reason().empty())
-        << socket_server_->backend_fallback_reason();
-  }
+  EXPECT_EQ(socket_server_->effective_backend(), net::SocketBackend::kEpoll);
+  EXPECT_TRUE(socket_server_->backend_fallback_reason().empty())
+      << socket_server_->backend_fallback_reason();
   net::AsciiClient client = MakeClient();
   ASSERT_EQ(client.Set("ebk", "ebv"), net::AsciiClient::StoreResult::kStored);
   const auto got = client.Get("ebk");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->data, "ebv");
-  client.Quit();
-}
-
-// kPoll has no loop: a server configured with it must come up on epoll,
-// say why, and serve.
-TEST(NetBackendFallback, PollRequestServesOnEpollWithReason) {
-  ShardedServerConfig config;
-  config.server = DefaultServerConfig();
-  config.server.store_values = true;
-  config.num_shards = 2;
-  ShardedCacheServer server(config);
-  server.AddApp(1, 8 * kMiB);
-  net::CacheAdapter adapter(&server, net::CacheAdapterConfig{});
-  net::SocketServerConfig net_config;
-  net_config.backend = net::SocketBackend::kPoll;
-  net::SocketServer socket_server(net_config, &adapter);
-  std::string error;
-  ASSERT_TRUE(socket_server.Start(&error)) << error;
-  EXPECT_EQ(socket_server.effective_backend(), net::SocketBackend::kEpoll);
-  EXPECT_FALSE(socket_server.backend_fallback_reason().empty());
-
-  net::AsciiClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", socket_server.port()));
-  ASSERT_EQ(client.Set("pk", "pv"), net::AsciiClient::StoreResult::kStored);
-  const auto got = client.Get("pk");
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->data, "pv");
-  client.Quit();
-  socket_server.Stop();
-}
-
-TEST_P(NetE2eTest, UringBatchesManySqesPerSubmit) {
-  // The per-op syscall-reduction proof: a pipelined storm of frames must
-  // cost far fewer io_uring_enter calls than frames — each burst's flush,
-  // buffer return and read re-arm ride one submit — and the average batch
-  // must pack multiple SQEs per enter.
-  if (GetParam() != net::SocketBackend::kUring) {
-    GTEST_SKIP() << "submit accounting only exists on the uring backend";
-  }
-  StartDefaultServer();
-  if (socket_server_->effective_backend() != net::SocketBackend::kUring) {
-    GTEST_SKIP() << "io_uring unavailable here: "
-                 << socket_server_->backend_fallback_reason();
-  }
-  net::AsciiClient client = MakeClient();
-  constexpr int kRounds = 1000;  // 2 frames per round + the version barrier
-  std::string blob;
-  for (int i = 0; i < kRounds; ++i) {
-    const std::string tag = std::to_string(i % 64);
-    blob += "set bk" + tag + " 0 0 8 noreply\r\nvvvvvvvv\r\n";
-    blob += "get bk" + tag + "\r\n";
-  }
-  blob += "version\r\n";
-  ASSERT_TRUE(client.SendRaw(blob));
-  std::string line;
-  int value_lines = 0;
-  while (true) {
-    ASSERT_TRUE(client.ReadLine(&line)) << client.last_error();
-    if (line.rfind("VERSION", 0) == 0) break;
-    if (line.rfind("VALUE ", 0) == 0) ++value_lines;
-  }
-  EXPECT_EQ(value_lines, kRounds);
-  const uint64_t frames = 2 * kRounds + 1;
-  const uint64_t submits = socket_server_->uring_submit_calls();
-  const uint64_t sqes = socket_server_->uring_submitted_sqes();
-  ASSERT_GT(submits, 0u);
-  // Batching both ways: several SQEs per enter on average, and an order of
-  // magnitude fewer enters than protocol frames served.
-  EXPECT_GT(sqes, submits);
-  EXPECT_LT(submits * 4, frames)
-      << "submits=" << submits << " sqes=" << sqes << " frames=" << frames;
   client.Quit();
 }
 

@@ -1,8 +1,8 @@
-// Unit tests for the shared partial-write bookkeeping (net/segment_flush.h)
-// that both socket backends run their burst flushes through. No
-// sockets: write_some is a fake with a programmable byte budget, so the
-// tests can park the cursor mid-segment (even mid-payload) and prove the
-// spill + resume reproduce the byte stream exactly.
+// Unit tests for the partial-write bookkeeping (net/segment_flush.h) that
+// the socket server runs its burst flushes through. No sockets: write_some
+// is a fake with a programmable byte budget, so the tests can park the
+// cursor mid-segment (even mid-payload) and prove the spill + resume
+// reproduce the byte stream exactly.
 #include "net/segment_flush.h"
 
 #include <cerrno>
@@ -129,8 +129,8 @@ TEST(SegmentFlushTest, MidPayloadStallSpillsExactRemainderAndResumes) {
         << "cut=" << cut;
     EXPECT_EQ(first.sink, full.substr(0, cut)) << "cut=" << cut;
     ASSERT_EQ(wr.substr(wr_offset), full.substr(cut)) << "cut=" << cut;
-    // Resume exactly as the backends do: later flush, no new segments, the
-    // spilled tail drains first.
+    // Resume exactly as the socket server does: later flush, no new
+    // segments, the spilled tail drains first.
     ThrottledSink second;
     ASSERT_TRUE(FlushSegmentsVia(second, &wr, &wr_offset, nullptr, 0))
         << "cut=" << cut;
