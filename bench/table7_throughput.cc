@@ -4,12 +4,18 @@
 // multi-threaded variant that drives a ShardedCacheServer with 1/2/4/8
 // threads, one contiguous partition of the same Zipf replay per thread,
 // so the speedup over the single-thread baseline is measured, not asserted.
+// The adapter_burst rows run the same replay one layer up: pre-parsed
+// 64-command bursts of memcached ASCII through one net::CacheAdapter
+// (HandleBatch + ReleaseBurstPins, a socket worker's cycle without the
+// socket) over a 4-shard server storing values, at 1/2/4 threads; each
+// thread runs its share of the bursts kAdapterPasses times. Their speedup
+// is against the 1-thread adapter row.
 //
 // Emits machine-readable JSON on stdout (one object, `results` array) for
 // benchmark regression tracking; human-readable progress goes to stderr.
 //
 // Flags: --requests N     per-mix measured requests   (default 200000)
-//        --mt-requests N  multi-threaded trace length (default 400000)
+//        --mt-requests N  zipf_mt/adapter_burst trace length (default 400000)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -17,10 +23,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_server.h"
+#include "net/ascii_protocol.h"
+#include "net/cache_adapter.h"
 #include "sim/experiment.h"
 #include "workload/facebook_workload.h"
 #include "workload/generators.h"
@@ -38,7 +49,8 @@ constexpr double kMtGetFraction = 0.967;
 
 struct Row {
   std::string name;
-  std::string section;  // "table7" (paper mixes) or "zipf_mt" (sharded)
+  std::string section;  // "table7" (paper mixes), "zipf_mt" (sharded) or
+                        // "adapter_burst"
   std::string mode;     // "default" or "cliffhanger"
   double get_fraction = 0.0;
   size_t threads = 1;
@@ -201,6 +213,145 @@ Row RunSharded(const Trace& trace, bool cliffhanger, size_t threads,
   return row;
 }
 
+// --- Part 3: the same replay through the network adapter's burst path ---
+
+constexpr size_t kAdapterShards = 4;
+constexpr size_t kBurstCommands = 64;  // SocketServerConfig::max_burst_frames
+// Each thread runs its share of the replay this many times, so a row at the
+// CI size (100000 requests) lasts long enough to time.
+constexpr size_t kAdapterPasses = 8;
+
+// Request text and its parsed commands, which alias the text.
+struct ParsedRequests {
+  std::string text;
+  std::vector<net::Command> cmds;
+};
+
+ParsedRequests Parse(std::string text) {
+  ParsedRequests parsed;
+  parsed.text = std::move(text);
+  net::AsciiParser parser;
+  const std::string_view buffer(parsed.text);
+  for (size_t offset = 0; offset < buffer.size();) {
+    net::Command cmd;
+    size_t consumed = 0;
+    const net::ParseStatus status =
+        parser.Next(buffer.substr(offset), &consumed, &cmd);
+    offset += consumed;
+    if (status != net::ParseStatus::kCommand) break;
+    parsed.cmds.push_back(std::move(cmd));
+  }
+  return parsed;
+}
+
+// The key id in hex, zero-padded to the trace's key size.
+void AppendKey(std::string* text, const Request& r) {
+  char hex[17];
+  const int n = std::snprintf(hex, sizeof(hex), "%llx",
+                              static_cast<unsigned long long>(r.key));
+  if (r.key_size > static_cast<uint32_t>(n)) {
+    text->append(r.key_size - static_cast<uint32_t>(n), '0');
+  }
+  text->append(hex, static_cast<size_t>(n));
+}
+
+void AppendSet(std::string* text, const Request& r) {
+  *text += "set ";
+  AppendKey(text, r);
+  *text += " 0 0 " + std::to_string(r.value_size) + "\r\n";
+  text->append(r.value_size, 'v');
+  *text += "\r\n";
+}
+
+// One SET per distinct key, in first-seen order: the cache warm-up.
+ParsedRequests MakeFillRequests(const Trace& trace) {
+  std::string text;
+  std::unordered_set<uint64_t> seen;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (seen.insert(trace[i].key).second) AppendSet(&text, trace[i]);
+  }
+  return Parse(std::move(text));
+}
+
+// The trace itself: a get per GET, a set per SET.
+ParsedRequests MakeReplayRequests(const Trace& trace) {
+  std::string text;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const Request& r = trace[i];
+    if (r.is_get()) {
+      text += "get ";
+      AppendKey(&text, r);
+      text += "\r\n";
+    } else {
+      AppendSet(&text, r);
+    }
+  }
+  return Parse(std::move(text));
+}
+
+void RunBursts(net::CacheAdapter& adapter,
+               const std::vector<net::Command>& cmds, size_t begin,
+               size_t end) {
+  std::vector<net::ResponseSegment> segments;
+  for (size_t i = begin; i < end; i += kBurstCommands) {
+    for (net::ResponseSegment& seg : segments) seg.Reset();
+    adapter.HandleBatch(cmds.data() + i, std::min(kBurstCommands, end - i),
+                        &segments);
+    adapter.ReleaseBurstPins();
+  }
+}
+
+Row RunAdapterBursts(const ParsedRequests& fill, const ParsedRequests& replay,
+                     size_t threads, double baseline_ops_per_sec) {
+  ShardedServerConfig config;
+  config.server = CliffhangerServerConfig();
+  config.server.store_values = true;
+  config.num_shards = kAdapterShards;
+  config.rebalance_interval_ops = 100000;
+  ShardedCacheServer server(config);
+  server.AddApp(kAppId, kReservation);
+  net::CacheAdapterConfig adapter_config;
+  adapter_config.default_app_id = kAppId;
+  net::CacheAdapter adapter(&server, adapter_config);
+  RunBursts(adapter, fill.cmds, 0, fill.cmds.size());
+
+  // Thread t runs the t-th contiguous share of the bursts.
+  const size_t count = replay.cmds.size();
+  const size_t bursts = (count + kBurstCommands - 1) / kBurstCommands;
+  const size_t chunk = (bursts + threads - 1) / threads * kBurstCommands;
+  const auto begin = std::chrono::steady_clock::now();
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    for (size_t t = 0; t < threads; ++t) {
+      const size_t lo = std::min(count, t * chunk);
+      const size_t hi = std::min(count, lo + chunk);
+      workers.emplace_back([&adapter, &replay, lo, hi] {
+        for (size_t pass = 0; pass < kAdapterPasses; ++pass) {
+          RunBursts(adapter, replay.cmds, lo, hi);
+        }
+      });
+    }
+    for (auto& worker : workers) worker.join();
+  }
+  const auto end = std::chrono::steady_clock::now();
+
+  Row row;
+  row.name = "adapter_burst/cliffhanger/t" + std::to_string(threads);
+  row.section = "adapter_burst";
+  row.mode = "cliffhanger";
+  row.get_fraction = kMtGetFraction;
+  row.threads = threads;
+  row.shards = kAdapterShards;
+  row.requests = count * kAdapterPasses;
+  row.seconds = Secs(begin, end);
+  row.ops_per_sec = static_cast<double>(row.requests) / row.seconds;
+  row.speedup = baseline_ops_per_sec > 0
+                    ? row.ops_per_sec / baseline_ops_per_sec
+                    : 1.0;
+  return row;
+}
+
 void PrintJson(const std::vector<Row>& rows) {
   std::printf("{\n");
   std::printf("  \"benchmark\": \"table7_throughput\",\n");
@@ -279,6 +430,18 @@ int Main(int argc, char** argv) {
                    cliffhanger ? "cliffhanger" : "default", threads);
       rows.push_back(
           RunSharded(trace, cliffhanger, threads, baseline.ops_per_sec));
+    }
+  }
+  {
+    std::fprintf(stderr, "adapter_burst: parsing the replay...\n");
+    const ParsedRequests fill = MakeFillRequests(trace);
+    const ParsedRequests replay = MakeReplayRequests(trace);
+    double baseline = 0.0;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      std::fprintf(stderr, "adapter_burst: cliffhanger, %zu thread(s)...\n",
+                   threads);
+      rows.push_back(RunAdapterBursts(fill, replay, threads, baseline));
+      if (threads == 1) baseline = rows.back().ops_per_sec;
     }
   }
   PrintJson(rows);

@@ -28,11 +28,19 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   table9_multitenant
 
 mkdir -p "$OUTDIR"
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
 for bench in fig6_hitrates fig7_miss_reduction_memory table3_cross_app \
              table4_combined table9_multitenant; do
   echo "generating $OUTDIR/$bench.json (app_requests=$GOLDEN_APP_REQUESTS)"
-  "./$BUILD_DIR/$bench" --app-requests "$GOLDEN_APP_REQUESTS" \
-    > "$OUTDIR/$bench.json" 2>/dev/null
+  # BUILD_DIR is relative to the repo root (the working directory here) or
+  # absolute. The driver's progress goes to a log, shown if it fails.
+  if ! "$BUILD_DIR/$bench" --app-requests "$GOLDEN_APP_REQUESTS" \
+      > "$OUTDIR/$bench.json" 2> "$log"; then
+    echo "$bench exited non-zero; its stderr:" >&2
+    cat "$log" >&2
+    exit 1
+  fi
 done
 
 python3 bench/validate_schema.py \

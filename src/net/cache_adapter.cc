@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/argparse.h"
 #include "util/hashing.h"
@@ -57,7 +58,57 @@ std::vector<uint32_t> SortedAppIds(const ShardedCacheServer& server) {
   return ids;
 }
 
+std::atomic<uint64_t> g_next_adapter_id{1};
+
+// Single-writer add: only the block's owning thread writes it, so a relaxed
+// load and store do what fetch_add would, without the locked instruction.
+void Add(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
+uint64_t Load(const std::atomic<uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
+
 }  // namespace
+
+// One thread's Counters, as atomics only that thread writes (see Add), on
+// cache lines no other block shares.
+struct alignas(64) CacheAdapter::CounterBlock {
+  std::atomic<uint64_t> cmd_get{0};
+  std::atomic<uint64_t> get_hits{0};
+  std::atomic<uint64_t> get_misses{0};
+  std::atomic<uint64_t> get_expired{0};
+  std::atomic<uint64_t> cmd_set{0};
+  std::atomic<uint64_t> store_rejected{0};
+  std::atomic<uint64_t> cas_hits{0};
+  std::atomic<uint64_t> cas_misses{0};
+  std::atomic<uint64_t> cas_badval{0};
+  std::atomic<uint64_t> incr_hits{0};
+  std::atomic<uint64_t> incr_misses{0};
+  std::atomic<uint64_t> decr_hits{0};
+  std::atomic<uint64_t> decr_misses{0};
+  std::atomic<uint64_t> cmd_touch{0};
+  std::atomic<uint64_t> touch_hits{0};
+  std::atomic<uint64_t> touch_misses{0};
+  std::atomic<uint64_t> cmd_flush{0};
+  std::atomic<uint64_t> cmd_delete{0};
+  std::atomic<uint64_t> delete_hits{0};
+  std::atomic<uint64_t> protocol_errors{0};
+  std::atomic<uint64_t> bytes_read{0};
+  std::atomic<uint64_t> bytes_written{0};
+};
+
+// One op's reply, written under its shard lock: the copied bytes and, for a
+// borrowed GET hit, the payload span, which a CRLF follows on the wire.
+// `ends_get` appends the END of a get/gets after its last key's reply.
+struct CacheAdapter::OpReply {
+  std::string text;
+  const char* payload = nullptr;
+  size_t payload_size = 0;
+  bool ends_get = false;
+};
 
 uint32_t AbsoluteExpiry(int64_t exptime, uint32_t now_s) {
   // Clamp below kKeepExpiry so a protocol exptime can never alias the
@@ -82,13 +133,44 @@ uint32_t AbsoluteExpiry(int64_t exptime, uint32_t now_s) {
 
 CacheAdapter::CacheAdapter(ShardedCacheServer* server,
                            const CacheAdapterConfig& config)
-    : server_(server), config_(config), app_ids_(SortedAppIds(*server)) {
+    : server_(server),
+      config_(config),
+      app_ids_(SortedAppIds(*server)),
+      id_(g_next_adapter_id.fetch_add(1, std::memory_order_relaxed)) {
   if (!config_.clock) {
     config_.clock = [] { return static_cast<uint32_t>(::time(nullptr)); };
   }
 }
 
 CacheAdapter::~CacheAdapter() = default;
+
+CacheAdapter::CounterBlock& CacheAdapter::LocalCounters() {
+  // This thread's block of each adapter it has run, the latest last.
+  // Entries of destroyed adapters are never matched again (ids are not
+  // reused) and go when the thread exits.
+  struct Entry {
+    uint64_t adapter_id;
+    CounterBlock* block;
+  };
+  static thread_local std::vector<Entry> entries;
+  if (!entries.empty() && entries.back().adapter_id == id_) {
+    return *entries.back().block;
+  }
+  for (Entry& entry : entries) {
+    if (entry.adapter_id == id_) {
+      std::swap(entry, entries.back());
+      return *entries.back().block;
+    }
+  }
+  CounterBlock* block = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    counter_blocks_.push_back(std::make_unique<CounterBlock>());
+    block = counter_blocks_.back().get();
+  }
+  entries.push_back(Entry{id_, block});
+  return *block;
+}
 
 CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
   RoutedKey rk;
@@ -106,7 +188,7 @@ CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
 void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
                                 std::string_view key, const RoutedKey& rk,
                                 uint32_t now_s, bool with_cas,
-                                ResponseSegment* seg) {
+                                CounterBlock& counts, OpReply* reply) {
   ValueLease lease;
   const ValueOutcome vo = core.GetValue(
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()), now_s,
@@ -114,40 +196,39 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
   if (vo.flush_reclaimed) {
     // flush_all invalidation, reclaimed on this access without touching
     // the core statistics (the probe never ran).
-    get_misses_.fetch_add(1, std::memory_order_relaxed);
-    get_expired_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.get_misses);
+    Add(counts.get_expired);
     return;
   }
   if (vo.valid) {
-    get_hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_written_.fetch_add(vo.view.size, std::memory_order_relaxed);
+    Add(counts.get_hits);
+    Add(counts.bytes_written, vo.view.size);
     if (with_cas) {
-      AppendValueHeaderCas(&seg->text, key, vo.view.flags, vo.view.size,
+      AppendValueHeaderCas(&reply->text, key, vo.view.flags, vo.view.size,
                            vo.view.cas);
     } else {
-      AppendValueHeader(&seg->text, key, vo.view.flags, vo.view.size);
+      AppendValueHeader(&reply->text, key, vo.view.flags, vo.view.size);
     }
     if (vo.view.size < kMinBorrowBytes) {
-      // Cheaper to copy than to send as two more iovecs under a lease.
+      // Cheaper to copy than to send as another iovec under a lease.
       core.ReturnLease(lease);
-      seg->text.append(vo.view.data, vo.view.size);
-      seg->text.append(kCrlf);
+      reply->text.append(vo.view.data, vo.view.size);
+      reply->text.append(kCrlf);
       return;
     }
     t_borrows.push_back(Borrow{core.shard_index(), lease});
-    seg->payload = vo.view.data;
-    seg->payload_size = vo.view.size;
-    seg->trailer.append(kCrlf);
+    reply->payload = vo.view.data;
+    reply->payload_size = vo.view.size;
     return;
   }
-  get_misses_.fetch_add(1, std::memory_order_relaxed);
+  Add(counts.get_misses);
   if (vo.expired) {
-    get_expired_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.get_expired);
   }
 }
 
 bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
-                                 std::string* out) {
+                                 CounterBlock& counts, std::string* out) {
   switch (cmd.type) {
     case CommandType::kSet:
     case CommandType::kAdd:
@@ -155,11 +236,11 @@ bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
     case CommandType::kCas:
     case CommandType::kAppend:
     case CommandType::kPrepend:
-      cmd_set_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.cmd_set);
       if (rk.app_known) return true;
-      store_rejected_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.store_rejected);
       if (cmd.type == CommandType::kCas) {
-        cas_misses_.fetch_add(1, std::memory_order_relaxed);
+        Add(counts.cas_misses);
       }
       if (!cmd.noreply) {
         AppendErrorLine(out, "SERVER_ERROR unknown application");
@@ -168,18 +249,18 @@ bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
     case CommandType::kIncr:
     case CommandType::kDecr:
       if (rk.app_known) return true;
-      (cmd.type == CommandType::kIncr ? incr_misses_ : decr_misses_)
-          .fetch_add(1, std::memory_order_relaxed);
+      Add(cmd.type == CommandType::kIncr ? counts.incr_misses
+                                         : counts.decr_misses);
       if (!cmd.noreply) out->append(kNotFoundLine);
       return false;
     case CommandType::kTouch:
-      cmd_touch_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.cmd_touch);
       if (rk.app_known) return true;
-      touch_misses_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.touch_misses);
       if (!cmd.noreply) out->append(kNotFoundLine);
       return false;
     case CommandType::kDelete:
-      cmd_delete_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.cmd_delete);
       if (rk.app_known) return true;
       if (!cmd.noreply) out->append(kNotFoundLine);
       return false;
@@ -190,7 +271,8 @@ bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
 
 void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
-                               uint32_t now_s, std::string* out) {
+                               uint32_t now_s, CounterBlock& counts,
+                               std::string* out) {
   const bool is_cas = cmd.type == CommandType::kCas;
   const std::string_view key = cmd.key();
   const auto key_size = static_cast<uint32_t>(key.size());
@@ -204,20 +286,20 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
         core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
     if ((cmd.type == CommandType::kAdd && peek.valid) ||
         (cmd.type == CommandType::kReplace && !peek.valid)) {
-      store_rejected_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.store_rejected);
       if (!cmd.noreply) out->append(kNotStoredLine);
       return;
     }
     if (is_cas) {
       if (!peek.valid) {
-        cas_misses_.fetch_add(1, std::memory_order_relaxed);
-        store_rejected_.fetch_add(1, std::memory_order_relaxed);
+        Add(counts.cas_misses);
+        Add(counts.store_rejected);
         if (!cmd.noreply) out->append(kNotFoundLine);
         return;
       }
       if (peek.view.cas != cmd.cas_unique) {
-        cas_badval_.fetch_add(1, std::memory_order_relaxed);
-        store_rejected_.fetch_add(1, std::memory_order_relaxed);
+        Add(counts.cas_badval);
+        Add(counts.store_rejected);
         if (!cmd.noreply) out->append(kExistsLine);
         return;
       }
@@ -234,7 +316,7 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
     // minted for a rejected store, keeping the cas stream identical to the
     // success-only sequence.
     core.SetValue(rk.app_id, item, cmd.data.data(), cmd.flags, 0);
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.store_rejected);
     if (!cmd.noreply) AppendErrorLine(out, kErrTooLarge);
     return;
   }
@@ -243,8 +325,8 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
       core.SetValue(rk.app_id, item, cmd.data.data(), cmd.flags, cas);
   assert(admitted);
   (void)admitted;
-  bytes_read_.fetch_add(cmd.data.size(), std::memory_order_relaxed);
-  if (is_cas) cas_hits_.fetch_add(1, std::memory_order_relaxed);
+  Add(counts.bytes_read, cmd.data.size());
+  if (is_cas) Add(counts.cas_hits);
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
@@ -254,13 +336,14 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
 // leaves the slab class.
 void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
                                 const Command& cmd, const RoutedKey& rk,
-                                uint32_t now_s, std::string* out) {
+                                uint32_t now_s, CounterBlock& counts,
+                                std::string* out) {
   const std::string_view key = cmd.key();
   const auto key_size = static_cast<uint32_t>(key.size());
   const ValueOutcome peek =
       core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
   if (!peek.valid) {
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.store_rejected);
     if (!cmd.noreply) out->append(kNotStoredLine);
     return;
   }
@@ -269,7 +352,7 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
   if (combined_size > kMaxValueBytes) {
     // Reject the splice but keep the original item intact, as memcached
     // does when the concatenated object no longer fits.
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.store_rejected);
     if (!cmd.noreply) AppendErrorLine(out, kErrTooLarge);
     return;
   }
@@ -293,7 +376,7 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
     // deletes it before failing), no cas is minted.
     core.ReplaceValue(rk.app_id, rk.key_id, key_size, combined.data(),
                       new_size, 0, now_s);
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.store_rejected);
     if (!cmd.noreply) AppendErrorLine(out, kErrTooLarge);
     return;
   }
@@ -302,21 +385,23 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
       rk.app_id, rk.key_id, key_size, combined.data(), new_size, cas, now_s);
   assert(r != ReplaceResult::kFailed);
   (void)r;
-  bytes_read_.fetch_add(cmd.data.size(), std::memory_order_relaxed);
+  Add(counts.bytes_read, cmd.data.size());
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
 void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, bool increment,
-                               std::string* out) {
-  auto& hits = increment ? incr_hits_ : decr_hits_;
-  auto& misses = increment ? incr_misses_ : decr_misses_;
+                               CounterBlock& counts, std::string* out) {
+  std::atomic<uint64_t>& hits =
+      increment ? counts.incr_hits : counts.decr_hits;
+  std::atomic<uint64_t>& misses =
+      increment ? counts.incr_misses : counts.decr_misses;
   const std::string_view key = cmd.key();
   const ValueOutcome peek =
       core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
   if (!peek.valid) {
-    misses.fetch_add(1, std::memory_order_relaxed);
+    Add(misses);
     if (!cmd.noreply) out->append(kNotFoundLine);
     return;
   }
@@ -348,14 +433,15 @@ void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
       static_cast<uint32_t>(new_size), cas, now_s);
   assert(r != ReplaceResult::kFailed);
   (void)r;
-  bytes_read_.fetch_add(new_size, std::memory_order_relaxed);
-  hits.fetch_add(1, std::memory_order_relaxed);
+  Add(counts.bytes_read, new_size);
+  Add(hits);
   if (!cmd.noreply) AppendNumericLine(out, result);
 }
 
 void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
-                               uint32_t now_s, std::string* out) {
+                               uint32_t now_s, CounterBlock& counts,
+                               std::string* out) {
   const std::string_view key = cmd.key();
   // Refreshes the stored expiry and the item's recency standing; no GET
   // statistics move (memcached counts touches separately, and so does the
@@ -365,32 +451,34 @@ void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()),
       AbsoluteExpiry(cmd.exptime, now_s), now_s, FlushAt());
   if (ok) {
-    touch_hits_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.touch_hits);
     if (!cmd.noreply) out->append(kTouchedLine);
   } else {
-    touch_misses_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.touch_misses);
     if (!cmd.noreply) out->append(kNotFoundLine);
   }
 }
 
 void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
                                 const Command& cmd, const RoutedKey& rk,
-                                uint32_t now_s, std::string* out) {
+                                uint32_t now_s, CounterBlock& counts,
+                                std::string* out) {
   // The core reports whether a live, unexpired, unflushed item existed
   // (memcached's DELETED/NOT_FOUND split) and erases every trace either
   // way — including shadow state, which must not keep earning credit an
   // explicit delete revoked.
   const bool valid = core.DeleteValue(rk.app_id, rk.key_id, now_s, FlushAt());
   if (valid) {
-    delete_hits_.fetch_add(1, std::memory_order_relaxed);
+    Add(counts.delete_hits);
     if (!cmd.noreply) out->append(kDeletedLine);
   } else {
     if (!cmd.noreply) out->append(kNotFoundLine);
   }
 }
 
-void CacheAdapter::HandleFlushAll(const Command& cmd, std::string* out) {
-  cmd_flush_.fetch_add(1, std::memory_order_relaxed);
+void CacheAdapter::HandleFlushAll(const Command& cmd, CounterBlock& counts,
+                                  std::string* out) {
+  Add(counts.cmd_flush);
   const uint32_t now = Now();
   const uint64_t at = static_cast<uint64_t>(now) +
                       static_cast<uint64_t>(cmd.exptime);
@@ -473,14 +561,14 @@ void CacheAdapter::HandleStats(std::string* out) {
 // Sharded execution: per-shard op batching, zero-copy GET
 // ---------------------------------------------------------------------------
 
-// One shard-routed operation of a burst, bound to its response slot. A
-// multiget expands into one BurstOp per key (plus a pre-filled END slot), so
-// reassembling the slots in index order reproduces the sequential byte
-// stream exactly.
+// One shard-routed operation of a burst, bound to its reply slot. A
+// multiget expands into one BurstOp per key, the last key's slot marked to
+// end the command, so copying the slots out in index order reproduces the
+// sequential byte stream exactly.
 struct CacheAdapter::BurstOp {
   const Command* cmd;
   size_t key_idx;  // which key of a multiget; 0 for single-key verbs
-  size_t slot;     // response segment index
+  size_t slot;     // reply slot index
   uint32_t now_s;  // stamped at collection, in command order (clock contract)
   RoutedKey rk;
   size_t shard;
@@ -489,8 +577,8 @@ struct CacheAdapter::BurstOp {
 namespace {
 
 // Commands whose effects are confined to one key's shard. Everything else
-// (stats/version/flush_all/quit/protocol errors) acts as a barrier and goes
-// through Handle() in stream order.
+// (stats/version/flush_all/quit/protocol errors) acts as a barrier and is
+// handled in stream order.
 bool IsShardable(CommandType type) {
   switch (type) {
     case CommandType::kGet:
@@ -514,34 +602,37 @@ bool IsShardable(CommandType type) {
 }  // namespace
 
 void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
-                                   const BurstOp& op, ResponseSegment* seg) {
+                                   const BurstOp& op, CounterBlock& counts,
+                                   OpReply* reply) {
   const Command& cmd = *op.cmd;
+  std::string* out = &reply->text;
   switch (cmd.type) {
     case CommandType::kGet:
     case CommandType::kGets:
       GetKeyLocked(core, cmd.keys[op.key_idx], op.rk, op.now_s,
-                   /*with_cas=*/cmd.type == CommandType::kGets, seg);
+                   /*with_cas=*/cmd.type == CommandType::kGets, counts,
+                   reply);
       break;
     case CommandType::kSet:
     case CommandType::kAdd:
     case CommandType::kReplace:
     case CommandType::kCas:
-      StoreLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      StoreLocked(core, cmd, op.rk, op.now_s, counts, out);
       break;
     case CommandType::kAppend:
     case CommandType::kPrepend:
-      ConcatLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      ConcatLocked(core, cmd, op.rk, op.now_s, counts, out);
       break;
     case CommandType::kIncr:
     case CommandType::kDecr:
       ArithLocked(core, cmd, op.rk, op.now_s,
-                  /*increment=*/cmd.type == CommandType::kIncr, &seg->text);
+                  /*increment=*/cmd.type == CommandType::kIncr, counts, out);
       break;
     case CommandType::kTouch:
-      TouchLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      TouchLocked(core, cmd, op.rk, op.now_s, counts, out);
       break;
     case CommandType::kDelete:
-      DeleteLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      DeleteLocked(core, cmd, op.rk, op.now_s, counts, out);
       break;
     default:
       break;  // unreachable: only shardable ops are collected
@@ -549,15 +640,29 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
 }
 
 void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
+                                     CounterBlock& counts,
                                      std::vector<ResponseSegment>* segments,
                                      size_t* used) {
-  // Collection: expand commands into shard-routed ops and claim their
-  // response slots in stream order. Admission (unknown app) and the
-  // command counters run here, before any lock; Now() is read once per
-  // command, in command order.
-  // Thread-local so the steady-state burst cycle reuses its capacity and
-  // stays off the allocator (each worker runs its own bursts).
+  // Thread-local so the steady-state burst cycle reuses their capacity —
+  // the reply slots' strings included: slots are reset, never destroyed —
+  // and stays off the allocator (each worker runs its own bursts).
   static thread_local std::vector<BurstOp> ops;
+  static thread_local std::vector<OpReply> replies;
+  size_t claimed = 0;
+  const auto claim = [&]() -> OpReply& {
+    if (claimed == replies.size()) replies.emplace_back();
+    OpReply& reply = replies[claimed++];
+    reply.text.clear();
+    reply.payload = nullptr;
+    reply.payload_size = 0;
+    reply.ends_get = false;
+    return reply;
+  };
+
+  // Collection: expand commands into shard-routed ops and claim their
+  // reply slots in stream order. Admission (unknown app) and the command
+  // counters run here, before any lock; Now() is read once per command, in
+  // command order.
   ops.clear();
   ops.reserve(count);
   for (size_t c = 0; c < count; ++c) {
@@ -565,25 +670,24 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
     const uint32_t now = Now();
     if (cmd.type == CommandType::kGet || cmd.type == CommandType::kGets) {
       for (size_t k = 0; k < cmd.keys.size(); ++k) {
-        cmd_get_.fetch_add(1, std::memory_order_relaxed);
-        ClaimSlot(segments, used);
+        Add(counts.cmd_get);
+        claim();
         const RoutedKey rk = Route(cmd.keys[k]);
         if (!rk.app_known) {
-          get_misses_.fetch_add(1, std::memory_order_relaxed);
+          Add(counts.get_misses);
           continue;  // slot stays empty: a silent miss
         }
-        ops.push_back(BurstOp{&cmd, k, *used - 1, now, rk,
+        ops.push_back(BurstOp{&cmd, k, claimed - 1, now, rk,
                               server_->ShardForKey(rk.key_id)});
       }
-      // The terminator's content is known now; giving it its own slot keeps
-      // every VALUE block independently writev-able.
-      ClaimSlot(segments, used).text.append(kEndLine);
+      if (cmd.keys.empty()) claim();  // the parser never emits one
+      replies[claimed - 1].ends_get = true;
       continue;
     }
-    ResponseSegment& seg = ClaimSlot(segments, used);
+    OpReply& reply = claim();
     const RoutedKey rk = Route(cmd.key());
-    if (!CountAndAdmit(cmd, rk, &seg.text)) continue;
-    ops.push_back(BurstOp{&cmd, 0, *used - 1, now, rk,
+    if (!CountAndAdmit(cmd, rk, counts, &reply.text)) continue;
+    ops.push_back(BurstOp{&cmd, 0, claimed - 1, now, rk,
                           server_->ShardForKey(rk.key_id)});
   }
 
@@ -605,25 +709,44 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
     const size_t shard_index = ops[i].shard;
     ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard_index);
     for (; i < ops.size() && ops[i].shard == shard_index; ++i) {
-      ExecuteOpLocked(batch, ops[i], &(*segments)[ops[i].slot]);
+      ExecuteOpLocked(batch, ops[i], counts, &replies[ops[i].slot]);
     }
+  }
+
+  // Coalescing, in command order: copied bytes join the open segment's
+  // text; a borrowed payload closes the segment, and the CRLF after it
+  // opens the next one.
+  ResponseSegment* seg = &(*segments)[*used - 1];
+  for (size_t r = 0; r < claimed; ++r) {
+    const OpReply& reply = replies[r];
+    seg->text.append(reply.text);
+    if (reply.payload != nullptr) {
+      seg->payload = reply.payload;
+      seg->payload_size = reply.payload_size;
+      seg = &ClaimSlot(segments, used);
+      seg->text.append(kCrlf);
+    }
+    if (reply.ends_get) seg->text.append(kEndLine);
   }
 }
 
 bool CacheAdapter::HandleBatch(const Command* cmds, size_t count,
                                std::vector<ResponseSegment>* segments) {
+  CounterBlock& counts = LocalCounters();
   size_t used = 0;
+  ClaimSlot(segments, &used);  // the open segment
   size_t i = 0;
   while (i < count) {
     if (!IsShardable(cmds[i].type)) {
-      ResponseSegment& seg = ClaimSlot(segments, &used);
-      if (!Handle(cmds[i], &seg.text)) return false;
+      if (!HandleBarrier(cmds[i], counts, &(*segments)[used - 1].text)) {
+        return false;
+      }
       ++i;
       continue;
     }
     size_t run_end = i + 1;
     while (run_end < count && IsShardable(cmds[run_end].type)) ++run_end;
-    ExecuteShardedRun(cmds + i, run_end - i, segments, &used);
+    ExecuteShardedRun(cmds + i, run_end - i, counts, segments, &used);
     i = run_end;
   }
   // Slots beyond `used` were Reset by the caller and flush as zero bytes.
@@ -654,27 +777,25 @@ void CacheAdapter::ReleaseBorrowsFrom(size_t first) {
 }
 
 bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
-  if (IsShardable(cmd.type)) {
-    // A one-command run whose response — borrowed GET payloads included —
-    // is copied into *out before its own leases go back.
-    static thread_local std::vector<ResponseSegment> slots;
-    for (ResponseSegment& seg : slots) seg.Reset();
-    const size_t borrows_before = t_borrows.size();
-    size_t used = 0;
-    ExecuteShardedRun(&cmd, 1, &slots, &used);
-    for (size_t i = 0; i < used; ++i) {
-      out->append(slots[i].text);
-      if (slots[i].payload != nullptr) {
-        out->append(slots[i].payload, slots[i].payload_size);
-      }
-      out->append(slots[i].trailer);
-    }
-    ReleaseBorrowsFrom(borrows_before);
-    return true;
+  // A one-command burst whose reply — borrowed GET payloads included — is
+  // copied into *out before its own leases go back.
+  static thread_local std::vector<ResponseSegment> segments;
+  for (ResponseSegment& seg : segments) seg.Reset();
+  const size_t borrows_before = t_borrows.size();
+  const bool keep_open = HandleBatch(&cmd, 1, &segments);
+  for (const ResponseSegment& seg : segments) {
+    out->append(seg.text);
+    if (seg.payload != nullptr) out->append(seg.payload, seg.payload_size);
   }
+  ReleaseBorrowsFrom(borrows_before);
+  return keep_open;
+}
+
+bool CacheAdapter::HandleBarrier(const Command& cmd, CounterBlock& counts,
+                                 std::string* out) {
   switch (cmd.type) {
     case CommandType::kFlushAll:
-      HandleFlushAll(cmd, out);
+      HandleFlushAll(cmd, counts, out);
       return true;
     case CommandType::kStats:
       HandleStats(out);
@@ -687,7 +808,7 @@ bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
     case CommandType::kQuit:
       return false;
     case CommandType::kProtocolError:
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      Add(counts.protocol_errors);
       // noreply is set only when the rejected command's line parsed
       // cleanly enough to carry it; like memcached, such a command gets
       // no reply at all — an unexpected error line would desync clients
@@ -695,35 +816,44 @@ bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
       if (!cmd.noreply) AppendErrorLine(out, cmd.error);
       return true;
     default:
-      return true;  // unreachable: shardable verbs returned above
+      return true;  // unreachable: HandleBatch runs shardable verbs
   }
 }
 
 CacheAdapter::Counters CacheAdapter::counters() const {
   Counters c;
-  c.cmd_get = cmd_get_.load(std::memory_order_relaxed);
-  c.get_hits = get_hits_.load(std::memory_order_relaxed);
-  c.get_misses = get_misses_.load(std::memory_order_relaxed);
-  c.get_expired = get_expired_.load(std::memory_order_relaxed);
-  c.cmd_set = cmd_set_.load(std::memory_order_relaxed);
-  c.store_rejected = store_rejected_.load(std::memory_order_relaxed);
-  c.cas_hits = cas_hits_.load(std::memory_order_relaxed);
-  c.cas_misses = cas_misses_.load(std::memory_order_relaxed);
-  c.cas_badval = cas_badval_.load(std::memory_order_relaxed);
-  c.incr_hits = incr_hits_.load(std::memory_order_relaxed);
-  c.incr_misses = incr_misses_.load(std::memory_order_relaxed);
-  c.decr_hits = decr_hits_.load(std::memory_order_relaxed);
-  c.decr_misses = decr_misses_.load(std::memory_order_relaxed);
-  c.cmd_touch = cmd_touch_.load(std::memory_order_relaxed);
-  c.touch_hits = touch_hits_.load(std::memory_order_relaxed);
-  c.touch_misses = touch_misses_.load(std::memory_order_relaxed);
-  c.cmd_flush = cmd_flush_.load(std::memory_order_relaxed);
-  c.cmd_delete = cmd_delete_.load(std::memory_order_relaxed);
-  c.delete_hits = delete_hits_.load(std::memory_order_relaxed);
-  c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  c.bytes_read = bytes_read_.load(std::memory_order_relaxed);
-  c.bytes_written = bytes_written_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  for (const std::unique_ptr<CounterBlock>& block : counter_blocks_) {
+    const CounterBlock& b = *block;
+    c.cmd_get += Load(b.cmd_get);
+    c.get_hits += Load(b.get_hits);
+    c.get_misses += Load(b.get_misses);
+    c.get_expired += Load(b.get_expired);
+    c.cmd_set += Load(b.cmd_set);
+    c.store_rejected += Load(b.store_rejected);
+    c.cas_hits += Load(b.cas_hits);
+    c.cas_misses += Load(b.cas_misses);
+    c.cas_badval += Load(b.cas_badval);
+    c.incr_hits += Load(b.incr_hits);
+    c.incr_misses += Load(b.incr_misses);
+    c.decr_hits += Load(b.decr_hits);
+    c.decr_misses += Load(b.decr_misses);
+    c.cmd_touch += Load(b.cmd_touch);
+    c.touch_hits += Load(b.touch_hits);
+    c.touch_misses += Load(b.touch_misses);
+    c.cmd_flush += Load(b.cmd_flush);
+    c.cmd_delete += Load(b.cmd_delete);
+    c.delete_hits += Load(b.delete_hits);
+    c.protocol_errors += Load(b.protocol_errors);
+    c.bytes_read += Load(b.bytes_read);
+    c.bytes_written += Load(b.bytes_written);
+  }
   return c;
+}
+
+size_t CacheAdapter::counter_blocks() const {
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  return counter_blocks_.size();
 }
 
 }  // namespace net

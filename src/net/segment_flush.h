@@ -6,9 +6,12 @@
 // socket stops taking bytes — spilling everything unsent into the
 // connection's write buffer, copying the payload bytes because the arena
 // borrow ends when the flush returns (the handler's ReleaseBurstPins
-// returns the leases that kept them in place). A borrowed GET hit is three
-// pieces, so a whole burst (at most 64 frames, 127 keys) fits one
-// gather-write call. The cursor arithmetic (segment index, piece index,
+// returns the leases that kept them in place). CacheAdapter coalesces a
+// burst's copied bytes, so its segments are (text, payload) pairs with an
+// empty trailer, closed by each borrowed payload, plus a last text: a burst
+// of copied replies is one iovec, a borrowed GET hit two more, and a whole
+// burst (at most 64 frames, 127 keys) fits one gather-write call. Empty
+// pieces cost no iovec. The cursor arithmetic (segment index, piece index,
 // offset within the piece) and the spill live here, templated on the write
 // primitive: production passes writev(2) (SocketServer::FlushSegments), and
 // tests/segment_flush_test.cc passes a fake with a programmable byte budget,

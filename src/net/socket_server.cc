@@ -489,9 +489,9 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
     // Reset in place (not clear+emplace) so the segments — and their inner
     // string capacities — are reused across bursts: the steady-state burst
     // cycle must not touch the allocator. The handler decides the segment
-    // count (a multiget emits several per command), growing the vector if
-    // the recycled slots run out; unused tail slots stay empty and flush
-    // as zero bytes.
+    // count (CacheAdapter: one per borrowed payload plus one), growing the
+    // vector if the recycled slots run out; unused tail slots stay empty
+    // and flush as zero bytes.
     for (ResponseSegment& seg : *segments) seg.Reset();
     if (!handler_->HandleBatch(cmds->data(), frames, segments)) {
       conn->closing = true;  // quit: flush what was produced, then close

@@ -44,13 +44,15 @@
 namespace cliffhanger {
 namespace net {
 
-// One command's response, in up to three writev-able pieces: protocol text,
-// an optional borrowed payload span (zero-copy GET: the bytes live in the
-// cache's value arena, not in this struct), and an optional trailer (the
-// CRLF/END bytes that follow a payload). The payload pointer must stay
-// valid until the server has either written it to the socket or spilled it
-// into the connection's write buffer — i.e. through the FlushSegments call
-// for the burst that produced it, after which ReleaseBurstPins() runs.
+// A stretch of a burst's response bytes, in up to three writev-able pieces:
+// protocol text, an optional borrowed payload span (zero-copy GET: the
+// bytes live in the cache's value arena, not in this struct), and an
+// optional trailer (bytes that follow a payload; CacheAdapter leaves it
+// empty and starts the next segment's text with them). The payload pointer
+// must stay valid until the server has either written it to the socket or
+// spilled it into the connection's write buffer — i.e. through the
+// FlushSegments call for the burst that produced it, after which
+// ReleaseBurstPins() runs.
 struct ResponseSegment {
   std::string text;
   const char* payload = nullptr;
@@ -74,15 +76,18 @@ class CommandHandler {
   // interface for handlers and callers that work one command at a time.
   virtual bool Handle(const Command& cmd, std::string* out) = 0;
   // Handles a burst of pipelined commands, filling response segments so the
-  // caller can writev them without concatenating. A command may produce
-  // zero segments (noreply) or several (a multiget emits one segment per
-  // key plus one END segment), so the segment count is the handler's to
+  // caller can writev them without concatenating. Segments need not map to
+  // commands: one segment may carry the replies of many commands, and one
+  // reply may span several (CacheAdapter copies every reply byte of a
+  // burst into as few segments as its borrowed payloads allow: one per
+  // borrowed payload plus one). So the segment count is the handler's to
   // decide: the caller Reset()s every existing element of *segments before
   // the call, the handler fills elements front-to-back — growing the
   // vector when it runs out of recycled slots — and leaves any unused tail
   // elements empty. The caller flushes the entire vector; empty elements
-  // contribute no bytes. Segment order must match command order (pipelined
-  // clients rely on response order and read-your-write within a burst).
+  // contribute no bytes. The bytes, read in segment order, must be the
+  // replies in command order (pipelined clients rely on response order
+  // and read-your-write within a burst).
   // Returns false to close the connection after the segments filled so far
   // are flushed; remaining commands are dropped, as if `quit` had closed a
   // one-command-at-a-time session.

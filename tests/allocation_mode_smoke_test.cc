@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "sim/experiment.h"
@@ -33,6 +34,11 @@ struct ModeCase {
   AllocationMode mode;
   const char* name;
 };
+
+// gtest's printout of a parameter is part of each listed test name; without
+// this it would print the raw bytes, `name`'s address included, so the
+// names would change from build to build.
+void PrintTo(const ModeCase& c, std::ostream* os) { *os << c.name; }
 
 class AllocationModeSmoke : public ::testing::TestWithParam<ModeCase> {};
 

@@ -120,11 +120,42 @@ class BorrowLeaseTest : public ::testing::Test {
 
   // Runs `text` as one burst and returns the reply bytes, read while the
   // leases are held. `borrowed` counts GET-hit segments whose payload
-  // points into the arena. Afterwards every lease is back and no slot is
-  // left retired.
-  std::string Burst(const std::string& text, int* borrowed = nullptr) {
+  // points into the arena, `segments_used` the segments that carry any
+  // bytes. Afterwards every lease is back and no slot is left retired.
+  std::string Burst(const std::string& text, int* borrowed = nullptr,
+                    int* segments_used = nullptr) {
     requests_.push_back(text);
     const std::string& buffer = requests_.back();
+    const std::vector<net::Command> cmds = Parse(buffer);
+    std::vector<net::ResponseSegment> segments;
+    EXPECT_TRUE(adapter_->HandleBatch(cmds.data(), cmds.size(), &segments));
+    std::string reply;
+    int zero_copy = 0;
+    int non_empty = 0;
+    for (const net::ResponseSegment& seg : segments) {
+      reply += seg.text;
+      if (seg.payload != nullptr) {
+        reply.append(seg.payload, seg.payload_size);
+        ++zero_copy;
+      }
+      reply += seg.trailer;
+      if (!seg.text.empty() || seg.payload_size > 0 || !seg.trailer.empty()) {
+        ++non_empty;
+      }
+    }
+    if (borrowed != nullptr) *borrowed = zero_copy;
+    if (segments_used != nullptr) *segments_used = non_empty;
+    held_ = server_->MergedValueStats();
+    adapter_->ReleaseBurstPins();
+    const ShardedCacheServer::ValueStats after = server_->MergedValueStats();
+    EXPECT_EQ(after.leases, 0u);
+    EXPECT_EQ(after.retired_slots, 0u);
+    EXPECT_TRUE(server_->CheckInvariants());
+    return reply;
+  }
+
+  // The commands of `buffer`, which they alias.
+  static std::vector<net::Command> Parse(const std::string& buffer) {
     std::vector<net::Command> cmds;
     net::AsciiParser parser;
     size_t offset = 0;
@@ -137,25 +168,15 @@ class BorrowLeaseTest : public ::testing::Test {
       if (status != net::ParseStatus::kCommand) break;
       cmds.push_back(cmd);
     }
-    std::vector<net::ResponseSegment> segments;
-    EXPECT_TRUE(adapter_->HandleBatch(cmds.data(), cmds.size(), &segments));
+    return cmds;
+  }
+
+  // The same commands one at a time through Handle(), replies concatenated.
+  std::string OneByOne(const std::string& text) {
     std::string reply;
-    int zero_copy = 0;
-    for (const net::ResponseSegment& seg : segments) {
-      reply += seg.text;
-      if (seg.payload != nullptr) {
-        reply.append(seg.payload, seg.payload_size);
-        ++zero_copy;
-      }
-      reply += seg.trailer;
+    for (const net::Command& cmd : Parse(text)) {
+      EXPECT_TRUE(adapter_->Handle(cmd, &reply));
     }
-    if (borrowed != nullptr) *borrowed = zero_copy;
-    held_ = server_->MergedValueStats();
-    adapter_->ReleaseBurstPins();
-    const ShardedCacheServer::ValueStats after = server_->MergedValueStats();
-    EXPECT_EQ(after.leases, 0u);
-    EXPECT_EQ(after.retired_slots, 0u);
-    EXPECT_TRUE(server_->CheckInvariants());
     return reply;
   }
 
@@ -249,6 +270,60 @@ TEST_F(BorrowLeaseTest, DeleteOfABorrowedKeyWaitsForTheRelease) {
   const std::string reply = Burst("get d\r\ndelete d\r\nget d\r\n");
   EXPECT_EQ(reply, Value("d", doomed) + "DELETED\r\nEND\r\n");
   EXPECT_EQ(held_.retired_slots, 1u);
+}
+
+TEST_F(BorrowLeaseTest, CopiedRepliesOfABurstLeaveAsOneSegment) {
+  std::string sets;
+  for (int k = 0; k < 8; ++k) {
+    sets += Set("s" + std::to_string(k), std::string(100 + k, 'a' + k));
+  }
+  Burst(sets);
+  std::string gets;
+  for (int g = 0; g < 64; ++g) gets += "get s" + std::to_string(g % 8) + "\r\n";
+  int borrowed = 0;
+  int segments = 0;
+  const std::string reply = Burst(gets, &borrowed, &segments);
+  EXPECT_EQ(borrowed, 0);
+  EXPECT_EQ(segments, 1);
+  EXPECT_EQ(reply, OneByOne(gets));
+}
+
+TEST_F(BorrowLeaseTest, OnlyABorrowedPayloadClosesASegment) {
+  const std::string big1(net::kMinBorrowBytes, '1');
+  const std::string big2(3000, '2');
+  Burst(Set("b1", big1) + Set("b2", big2) + Set("s", "small") +
+        Set("t", std::string(net::kMinBorrowBytes - 1, 't')));
+  // Idempotent, so Handle() can replay it afterwards: copied hits and a
+  // miss around the borrowed ones, a barrier, a multiget that borrows twice
+  // in a row, and a store and a delete between them.
+  const std::string burst =
+      "get s\r\nget b1\r\nget nope\r\nversion\r\nget b1 b2 t s\r\n" +
+      Set("s", "small") + "delete nope\r\nget t b2\r\n";
+  int borrowed = 0;
+  int segments = 0;
+  const std::string reply = Burst(burst, &borrowed, &segments);
+  EXPECT_EQ(borrowed, 4);
+  EXPECT_EQ(segments, borrowed + 1);
+  EXPECT_EQ(reply, OneByOne(burst));
+}
+
+TEST_F(BorrowLeaseTest, QuitLeavesTheRepliesSoFarInTheSegments) {
+  const std::string big(2000, 'q');
+  Burst(Set("q", big));
+  const std::string text = "get q\r\nversion\r\nquit\r\nget q\r\n";
+  const std::vector<net::Command> cmds = Parse(text);
+  std::vector<net::ResponseSegment> segments;
+  EXPECT_FALSE(adapter_->HandleBatch(cmds.data(), cmds.size(), &segments));
+  std::string reply;
+  for (const net::ResponseSegment& seg : segments) {
+    reply += seg.text;
+    if (seg.payload != nullptr) reply.append(seg.payload, seg.payload_size);
+    reply += seg.trailer;
+  }
+  adapter_->ReleaseBurstPins();
+  EXPECT_EQ(reply, Value("q", big) + "VERSION " +
+                       std::string(net::kServerVersion) + "\r\n");
+  EXPECT_EQ(server_->MergedValueStats().leases, 0u);
 }
 
 TEST_F(BorrowLeaseTest, HandleCopiesTheHitAndReturnsItsLease) {

@@ -21,12 +21,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/sharded_server.h"
 #include "net/ascii_client.h"
+#include "net/ascii_protocol.h"
 #include "net/cache_adapter.h"
 #include "net/replay_keys.h"
 #include "net/socket_server.h"
@@ -1804,6 +1806,119 @@ TEST_P(NetE2eTest, EffectiveBackendAndFallbackReasonAreConsistent) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->data, "ebv");
   client.Quit();
+}
+
+// Per-worker adapter counters, without sockets: bursts go straight through
+// CacheAdapter::HandleBatch + ReleaseBurstPins, as a socket worker runs
+// them.
+class AdapterCounters : public ::testing::Test {
+ protected:
+  AdapterCounters() : server_(Config()) {
+    server_.AddApp(1, 64 * kMiB);
+    adapter_config_.clock = [] { return 100u; };
+  }
+
+  static ShardedServerConfig Config() {
+    ShardedServerConfig config;
+    config.server = CliffhangerServerConfig();
+    config.server.store_values = true;
+    config.num_shards = 4;
+    return config;
+  }
+
+  // Runs the commands of `text` (which they alias) as one burst.
+  static void Burst(net::CacheAdapter& adapter, const std::string& text) {
+    std::vector<net::Command> cmds;
+    net::AsciiParser parser;
+    size_t offset = 0;
+    while (offset < text.size()) {
+      net::Command cmd;
+      size_t consumed = 0;
+      const net::ParseStatus status = parser.Next(
+          std::string_view(text).substr(offset), &consumed, &cmd);
+      offset += consumed;
+      ASSERT_EQ(status, net::ParseStatus::kCommand);
+      cmds.push_back(cmd);
+    }
+    std::vector<net::ResponseSegment> segments;
+    EXPECT_TRUE(adapter.HandleBatch(cmds.data(), cmds.size(), &segments));
+    adapter.ReleaseBurstPins();
+  }
+
+  ShardedCacheServer server_;
+  net::CacheAdapterConfig adapter_config_;
+};
+
+TEST_F(AdapterCounters, ConcurrentBurstsSumExactly) {
+  net::CacheAdapter adapter(&server_, adapter_config_);
+  constexpr int kThreads = 4;
+  constexpr int kBursts = 300;
+  constexpr int kKeys = 8;
+  // Thread t stores its own kKeys keys, half of them borrowed on a hit,
+  // then gets each of them (hits) and as many keys it never stores
+  // (misses), every burst.
+  const auto value_size = [](int k) { return k % 2 == 0 ? 100 : 2000; };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::string text;
+      for (int k = 0; k < kKeys; ++k) {
+        const std::string key =
+            "t" + std::to_string(t) + "k" + std::to_string(k);
+        text += "set " + key + " 0 0 " + std::to_string(value_size(k)) +
+                "\r\n" + std::string(value_size(k), 'v') + "\r\n";
+      }
+      for (int k = 0; k < kKeys; ++k) {
+        text += "get t" + std::to_string(t) + "k" + std::to_string(k) +
+                " t" + std::to_string(t) + "none" + std::to_string(k) +
+                "\r\n";
+      }
+      for (int b = 0; b < kBursts; ++b) Burst(adapter, text);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  uint64_t bytes_per_burst = 0;
+  for (int k = 0; k < kKeys; ++k) bytes_per_burst += value_size(k);
+  const uint64_t bursts = kThreads * kBursts;
+  const net::CacheAdapter::Counters c = adapter.counters();
+  EXPECT_EQ(c.cmd_set, bursts * kKeys);
+  EXPECT_EQ(c.cmd_get, bursts * 2 * kKeys);
+  EXPECT_EQ(c.get_hits, bursts * kKeys);
+  EXPECT_EQ(c.get_misses, bursts * kKeys);
+  EXPECT_EQ(c.bytes_read, bursts * bytes_per_burst);
+  EXPECT_EQ(c.bytes_written, bursts * bytes_per_burst);
+  EXPECT_EQ(adapter.counter_blocks(), static_cast<size_t>(kThreads));
+  EXPECT_EQ(server_.MergedValueStats().leases, 0u);
+}
+
+TEST_F(AdapterCounters, AnAdapterBuiltAfterAnotherIsDestroyedStartsFromZero) {
+  // Each adapter may be built where the previous one lived; its counts
+  // must not land in (or come from) the destroyed adapter's block.
+  for (int round = 0; round < 4; ++round) {
+    auto adapter =
+        std::make_unique<net::CacheAdapter>(&server_, adapter_config_);
+    EXPECT_EQ(adapter->counters().cmd_get, 0u);
+    EXPECT_EQ(adapter->counter_blocks(), 0u);
+    Burst(*adapter, "get a b\r\nset a 0 0 1\r\nx\r\n");
+    const net::CacheAdapter::Counters c = adapter->counters();
+    EXPECT_EQ(c.cmd_get, 2u);
+    EXPECT_EQ(c.cmd_set, 1u);
+    EXPECT_EQ(adapter->counter_blocks(), 1u);
+  }
+}
+
+TEST_F(AdapterCounters, AlternatingAdaptersKeepOneBlockPerThread) {
+  net::CacheAdapter first(&server_, adapter_config_);
+  net::CacheAdapter second(&server_, adapter_config_);
+  for (int b = 0; b < 10; ++b) {
+    Burst(first, "get a\r\n");
+    Burst(second, "get a b\r\n");
+  }
+  EXPECT_EQ(first.counter_blocks(), 1u);
+  EXPECT_EQ(second.counter_blocks(), 1u);
+  EXPECT_EQ(first.counters().cmd_get, 10u);
+  EXPECT_EQ(second.counters().cmd_get, 20u);
 }
 
 }  // namespace
