@@ -6,6 +6,9 @@
 // SET-miss and GET-hit paths with the algorithms off (baseline), hill
 // climbing only, and full Cliffhanger. The overhead percentages correspond
 // to the paper's Table 6 rows (paper: 1.4%-4.8% on misses, ~0 on hits).
+// The GET_hit_value rows time the same hits with the values stored
+// (ServerConfig::store_values): CacheServer::GetByKey, the path a daemon
+// GET takes, which also fetches the payload's view from the value arena.
 //
 // Emits machine-readable JSON on stdout (one object, `results` array, same
 // shape as table7_throughput) for benchmark regression tracking via
@@ -32,7 +35,7 @@ constexpr uint64_t kWarmupSets = 400000;  // fill to capacity (paper: 100 s)
 
 struct Row {
   std::string name;
-  std::string op;    // "GET_miss", "SET_miss", "GET_hit"
+  std::string op;    // "GET_miss", "SET_miss", "GET_hit", "GET_hit_value"
   std::string mode;  // "default", "hill_only", "cliffhanger"
   uint64_t requests = 0;
   double seconds = 0.0;
@@ -149,6 +152,37 @@ Row RunGetHit(int mode, uint64_t requests) {
   return Finish(row, begin, end, requests);
 }
 
+// Value-mode hit path: the hot keys of RunGetHit with 100-byte values in
+// the arena, read through GetByKey as the network front reads them.
+Row RunGetHitValue(int mode, uint64_t requests) {
+  ServerConfig config = ConfigFor(mode);
+  config.store_values = true;
+  CacheServer server(config);
+  server.AddApp(kAppId, kReservation);
+  const std::string value(100, 'v');
+  for (uint64_t k = 0; k < 1024; ++k) {
+    ItemMeta item{k, 16, static_cast<uint32_t>(value.size())};
+    item.now_s = 1;
+    server.SetValue(kAppId, item, value.data(), 0, k + 1);
+  }
+  uint64_t sink = 0;
+  uint64_t k = 0;
+  const auto begin = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < requests; ++i) {
+    const ValueOutcome vo =
+        server.GetByKey(kAppId, k++ & 1023, 16, /*now_s=*/1, /*flush_at_s=*/0);
+    sink += vo.valid ? vo.view.size : 0;
+  }
+  const auto end = std::chrono::steady_clock::now();
+  if (sink != requests * value.size()) {
+    std::fprintf(stderr, "warning: value hit path missed\n");
+  }
+  Row row;
+  row.op = "GET_hit_value";
+  row.mode = ModeName(mode);
+  return Finish(row, begin, end, requests);
+}
+
 void PrintJson(const std::vector<Row>& rows) {
   std::printf("{\n");
   std::printf("  \"benchmark\": \"table6_latency\",\n");
@@ -184,7 +218,8 @@ int Main(int argc, char** argv) {
 
   std::vector<Row> rows;
   using Runner = Row (*)(int, uint64_t);
-  const Runner runners[] = {&RunGetMiss, &RunSetMiss, &RunGetHit};
+  const Runner runners[] = {&RunGetMiss, &RunSetMiss, &RunGetHit,
+                            &RunGetHitValue};
   for (const Runner run : runners) {
     double baseline_ns = 0.0;
     for (int mode = 0; mode < 3; ++mode) {

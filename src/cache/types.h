@@ -32,6 +32,12 @@ struct GetResult {
   // front count expiry-misses separately (memcached's get_expired) without
   // keeping its own expiry records.
   bool expired = false;
+  // On a slab-class queue hit (SlabClassQueue, PartitionedSlabQueue: the
+  // queues value mode runs on), the item's stored absolute expiry (0 =
+  // never), read from the node the lookup already holds, so a caller
+  // serving the item needs no second probe for it. The other queues leave
+  // it 0.
+  uint32_t expiry_s = 0;
 };
 
 // Insertion discipline for the physical queue.

@@ -34,6 +34,7 @@ uint32_t ValueStore::DropSlot(const Ref& ref) {
 void ValueStore::StorePhysical(uint64_t key, int slab_class, const void* data,
                                uint32_t size, uint32_t flags, uint64_t cas,
                                uint32_t stored_s) {
+  ++mutations_;
   const Ref old = Find(key);
   if (old.found) DropSlot(old);
 
@@ -58,6 +59,7 @@ void ValueStore::StorePhysical(uint64_t key, int slab_class, const void* data,
 }
 
 void ValueStore::RegisterShadow(uint64_t key, int slab_class) {
+  ++mutations_;
   const Ref old = Find(key);
   const uint32_t packed = Pack(slab_class, kNoSlot);
   if (old.found) {
@@ -73,6 +75,7 @@ void ValueStore::RewriteInPlace(uint64_t key, const Ref& ref,
                                 uint32_t flags, uint64_t cas,
                                 uint32_t stored_s) {
   assert(ref.has_slot());
+  ++mutations_;
   ValueArena& arena = *arenas_[ref.slab_class];
   assert(size <= arena.payload_capacity());
   uint32_t slot = ref.slot;
@@ -126,12 +129,14 @@ void ValueStore::FillView(const Ref& ref, ValueView* view) const {
 }
 
 void ValueStore::OnValueDrop(uint64_t key) {
+  ++mutations_;
   const Ref ref = Find(key);
   if (!ref.has_slot()) return;  // shadow/unregistered: nothing resident
   index_.Replace(key, DropSlot(ref));
 }
 
 void ValueStore::OnKeyGone(uint64_t key) {
+  ++mutations_;
   const Ref ref = Find(key);
   if (!ref.found) return;
   DropSlot(ref);

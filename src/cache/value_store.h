@@ -65,6 +65,10 @@ class ValueStore final : public SegmentedLru::Listener {
     int slab_class = -1;
     uint32_t slot = kNoSlot;
     [[nodiscard]] bool has_slot() const { return found && slot != kNoSlot; }
+    [[nodiscard]] bool operator==(const Ref& other) const {
+      return found == other.found && slab_class == other.slab_class &&
+             slot == other.slot;
+    }
   };
 
   ValueStore() = default;
@@ -110,6 +114,13 @@ class ValueStore final : public SegmentedLru::Listener {
   void OnValueDrop(uint64_t key) override;
   void OnKeyGone(uint64_t key) override;
 
+  // Moves on every call that can change what Find returns for some key:
+  // StorePhysical, RegisterShadow, RewriteInPlace, OnValueDrop and
+  // OnKeyGone. Reads (Find, Header, FillView) and leases do not move it. A
+  // Ref taken before an operation still names the key's slot afterwards if
+  // the count is unchanged, so a caller can skip probing again.
+  [[nodiscard]] uint64_t mutations() const { return mutations_; }
+
   // Real memory accounting (the `stats` surface). A retired slot's bytes
   // no longer count: the key that held them is gone.
   [[nodiscard]] uint64_t value_bytes() const { return value_bytes_; }
@@ -141,6 +152,7 @@ class ValueStore final : public SegmentedLru::Listener {
   FlatIndex index_;
   std::unique_ptr<ValueArena> arenas_[kMaxSlabClasses];
   uint64_t value_bytes_ = 0;
+  uint64_t mutations_ = 0;
 };
 
 }  // namespace cliffhanger

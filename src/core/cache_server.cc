@@ -79,8 +79,10 @@ AppCache::AppCache(uint32_t app_id, uint64_t reservation,
 AppCache::~AppCache() = default;
 
 AppCache::ClassEntry& AppCache::GetOrCreateEntry(int slab_class) {
-  auto it = classes_.find(slab_class);
-  if (it != classes_.end()) return *it->second;
+  assert(slab_class >= 0 && slab_class < kMaxSlabClasses);
+  std::unique_ptr<ClassEntry>& slot =
+      classes_[static_cast<size_t>(slab_class)];
+  if (slot) return *slot;
 
   auto entry = std::make_unique<ClassEntry>();
   entry->slab_class = slab_class;
@@ -129,9 +131,8 @@ AppCache::ClassEntry& AppCache::GetOrCreateEntry(int slab_class) {
     }
   }
 
-  auto [inserted, ok] = classes_.emplace(slab_class, std::move(entry));
-  (void)ok;
-  return *inserted->second;
+  slot = std::move(entry);
+  return *slot;
 }
 
 void AppCache::EnsureCapacityFor(ClassEntry& entry, uint64_t needed_bytes) {
@@ -172,7 +173,8 @@ Outcome AppCache::Get(const ItemMeta& item) {
   return GetAtClass(slab_class, item);
 }
 
-Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item) {
+Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item,
+                             uint32_t* hit_expiry_s) {
   Outcome outcome;
   outcome.slab_class = slab_class;
   if (slab_class < 0) {
@@ -194,6 +196,7 @@ Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item) {
   if (r.hit) {
     ++entry.stats.hits;
     if (r.region == HitRegion::kPhysicalTail) ++entry.stats.tail_hits;
+    if (hit_expiry_s != nullptr) *hit_expiry_s = r.expiry_s;
   } else if (r.region == HitRegion::kCliffShadow) {
     ++entry.stats.cliff_shadow_hits;
   } else if (r.region == HitRegion::kHillShadow) {
@@ -258,8 +261,8 @@ bool AppCache::Touch(const ItemMeta& item) {
   if (slab_class < 0) return false;
   // Like Delete, never materializes a class: touching an absent key must
   // not allocate queue state.
-  const auto it = classes_.find(slab_class);
-  return it != classes_.end() && it->second->queue->Touch(item);
+  const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
+  return entry != nullptr && entry->queue->Touch(item);
 }
 
 Outcome AppCache::Mutate(MutateOp op, const ItemMeta& item) {
@@ -286,15 +289,16 @@ void AppCache::Delete(const ItemMeta& item) {
   const int slab_class =
       SlabClassFor(ExactFootprint(item.key_size, item.value_size));
   if (slab_class < 0) return;
-  const auto it = classes_.find(slab_class);
-  if (it != classes_.end()) it->second->queue->Delete(item.key);
+  const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
+  if (entry != nullptr) entry->queue->Delete(item.key);
 }
 
 // --- Value-mode verbs ---
 
 PartitionedSlabQueue* AppCache::PartitionedFor(int slab_class) const {
-  const auto it = classes_.find(slab_class);
-  return it == classes_.end() ? nullptr : it->second->partitioned;
+  assert(slab_class >= 0 && slab_class < kMaxSlabClasses);
+  const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
+  return entry == nullptr ? nullptr : entry->partitioned;
 }
 
 void AppCache::RegisterStoredValue(uint64_t key, int slab_class,
@@ -352,22 +356,25 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
   item.key_size = key_size;
   item.value_size = 0;
   item.now_s = now_s;
-  vo.outcome = GetAtClass(slab_class, item);
+  const uint64_t mutations = value_store_->mutations();
+  uint32_t expiry_s = 0;
+  vo.outcome = GetAtClass(slab_class, item, &expiry_s);
   vo.expired = vo.outcome.expired;
-  if (vo.outcome.hit) {
-    // Residency invariant: a queue hit implies a live slot (shadow entries
-    // can only re-enter the physical segments through Fill).
-    const ValueStore::Ref hit_ref = value_store_->Find(key);
-    if (hit_ref.has_slot()) {
-      value_store_->FillView(hit_ref, &vo.view);
-      uint32_t expiry_s = 0;
-      PartitionedSlabQueue* q = PartitionedFor(hit_ref.slab_class);
-      if (q != nullptr) (void)q->PeekPhysical(key, &expiry_s);
-      vo.view.expiry_s = expiry_s;
-      vo.valid = true;
-      if (lease != nullptr) *lease = value_store_->Lease(hit_ref);
-    }
-  }
+  if (!vo.outcome.hit) return vo;
+  // Residency invariant: a queue hit implies a live slot (shadow entries
+  // can only re-enter the physical segments through Fill). A hit leaves
+  // the store alone unless a scaler step evicted during the access (one
+  // that turns partitioning off can drop the hit key's own slot), so the
+  // first Ref stands unless the store's mutation count moved.
+  const ValueStore::Ref hit_ref = value_store_->mutations() == mutations
+                                      ? ref
+                                      : value_store_->Find(key);
+  assert(hit_ref == value_store_->Find(key));
+  if (!hit_ref.has_slot()) return vo;
+  value_store_->FillView(hit_ref, &vo.view);
+  vo.view.expiry_s = expiry_s;
+  vo.valid = true;
+  if (lease != nullptr) *lease = value_store_->Lease(hit_ref);
   return vo;
 }
 
@@ -536,16 +543,16 @@ void AppCache::SetStaticAllocation(
 
 uint64_t AppCache::allocated_bytes() const {
   uint64_t total = 0;
-  for (const auto& [slab_class, entry] : classes_) {
-    total += entry->queue->capacity_bytes();
+  for (const auto& entry : classes_) {
+    if (entry) total += entry->queue->capacity_bytes();
   }
   return total;
 }
 
 uint64_t AppCache::shadow_overhead_bytes() const {
   uint64_t total = 0;
-  for (const auto& [slab_class, entry] : classes_) {
-    if (entry->partitioned != nullptr) {
+  for (const auto& entry : classes_) {
+    if (entry && entry->partitioned != nullptr) {
       total += entry->partitioned->shadow_overhead_bytes();
     }
   }
@@ -556,8 +563,9 @@ void AppCache::ShrinkProportionally(uint64_t deficit) {
   const uint64_t allocated = allocated_bytes();
   if (allocated == 0 || deficit == 0) return;
   uint64_t remaining = deficit;
-  for (auto& [slab_class, entry] : classes_) {
+  for (auto& entry : classes_) {
     if (remaining == 0) break;
+    if (!entry) continue;
     const uint64_t cap = entry->queue->capacity_bytes();
     uint64_t cut = static_cast<uint64_t>(
         static_cast<double>(cap) / static_cast<double>(allocated) *
@@ -570,7 +578,8 @@ void AppCache::ShrinkProportionally(uint64_t deficit) {
   // Rounding leftovers: take from the largest queue.
   while (remaining > 0) {
     ClassEntry* largest = nullptr;
-    for (auto& [slab_class, entry] : classes_) {
+    for (auto& entry : classes_) {
+      if (!entry) continue;
       if (largest == nullptr ||
           entry->queue->capacity_bytes() > largest->queue->capacity_bytes()) {
         largest = entry.get();
@@ -605,8 +614,8 @@ void AppCache::ResizeReservation(uint64_t bytes) {
 }
 
 bool AppCache::CheckInvariants() const {
-  for (const auto& [slab_class, entry] : classes_) {
-    if (entry->partitioned != nullptr &&
+  for (const auto& entry : classes_) {
+    if (entry && entry->partitioned != nullptr &&
         !entry->partitioned->CheckInvariants()) {
       return false;
     }
@@ -625,10 +634,10 @@ bool AppCache::CheckInvariants() const {
 
 std::vector<AppCache::ClassInfo> AppCache::ClassInfos() const {
   std::vector<ClassInfo> infos;
-  infos.reserve(classes_.size());
-  for (const auto& [slab_class, entry] : classes_) {
+  for (const auto& entry : classes_) {
+    if (!entry) continue;
     ClassInfo info;
-    info.slab_class = slab_class;
+    info.slab_class = entry->slab_class;
     info.capacity_bytes = entry->queue->capacity_bytes();
     info.used_bytes = entry->queue->used_bytes();
     info.stats = entry->stats;
@@ -639,13 +648,16 @@ std::vector<AppCache::ClassInfo> AppCache::ClassInfos() const {
 
 ClassStats AppCache::TotalStats() const {
   ClassStats total;
-  for (const auto& [slab_class, entry] : classes_) total += entry->stats;
+  for (const auto& entry : classes_) {
+    if (entry) total += entry->stats;
+  }
   return total;
 }
 
 ClassStats AppCache::StatsForClass(int slab_class) const {
-  const auto it = classes_.find(slab_class);
-  return it == classes_.end() ? ClassStats{} : it->second->stats;
+  if (slab_class < 0 || slab_class >= kMaxSlabClasses) return ClassStats{};
+  const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
+  return entry == nullptr ? ClassStats{} : entry->stats;
 }
 
 // --- CacheServer ---

@@ -10,6 +10,7 @@
 // cliff scaler per sufficiently large queue.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -250,11 +251,13 @@ class AppCache {
   void ShrinkProportionally(uint64_t deficit);
   // The counted probe body shared by Get() and GetByKey(): statistics,
   // shadow signals, climber/scaler feedback — everything after the slab
-  // class is known. Declared inline deliberately: letting the optimizer
-  // outline this (both callers live in cache_server.cc) costs ~10% on the
-  // GET-hit microbenchmark, which the bench-regression gate treats as
-  // real.
-  inline Outcome GetAtClass(int slab_class, const ItemMeta& item);
+  // class is known. On a hit, *hit_expiry_s (when given) receives the
+  // queue's GetResult::expiry_s. Declared inline deliberately: letting the
+  // optimizer outline this (both callers live in cache_server.cc) costs
+  // ~10% on the GET-hit microbenchmark, which the bench-regression gate
+  // treats as real.
+  inline Outcome GetAtClass(int slab_class, const ItemMeta& item,
+                            uint32_t* hit_expiry_s = nullptr);
   // Cliff-aware gradient weight for a hill-shadow hit in `entry` (cross-app
   // climbing only): 1.0 off-cliff; on a cliff the hull slope the scaler is
   // actually serving is steeper than the raw shadow sample, by roughly the
@@ -284,7 +287,9 @@ class AppCache {
   ServerConfig config_;
   CacheServer* server_;
 
-  std::map<int, std::unique_ptr<ClassEntry>> classes_;
+  // Indexed by slab class; null until the class is first used. Every walk
+  // goes in ascending class order.
+  std::array<std::unique_ptr<ClassEntry>, kMaxSlabClasses> classes_;
   std::unique_ptr<HillClimber> climber_;  // within-app (slab class) climbing
   // Non-null iff config_.store_values: owns the payload bytes and listens
   // to every class queue's evictions.

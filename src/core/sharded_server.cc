@@ -183,17 +183,24 @@ bool ShardedCacheServer::DeleteValue(uint32_t app_id, uint64_t key,
 // ---------------------------------------------------------------------------
 
 ShardedCacheServer::ShardBatch::ShardBatch(ShardedCacheServer* owner,
-                                           size_t shard_index)
+                                           size_t shard_index, bool wait)
     : owner_(owner),
       shard_(owner->shards_[shard_index].get()),
       shard_index_(shard_index),
-      lock_(shard_->mu) {}
+      lock_(shard_->mu, std::defer_lock) {
+  if (wait) {
+    lock_.lock();
+  } else {
+    (void)lock_.try_lock();
+  }
+}
 
 ShardedCacheServer::ShardBatch::~ShardBatch() {
   // Release the shard lock, then publish the counter deltas, then advance
   // the rebalance cadence (which may run Rebalance() — it takes apps_mu_
   // plus every shard lock, so it must never run while this batch still
-  // holds one).
+  // holds one). A batch that never got the lock ran no ops.
+  if (!lock_.owns_lock()) return;
   lock_.unlock();
   owner_->PublishDelta(*shard_, delta_);
   owner_->BumpOpCount(*shard_, ops_);
@@ -201,6 +208,7 @@ ShardedCacheServer::ShardBatch::~ShardBatch() {
 
 Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
                                             const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const Outcome outcome = shard_->server->Get(app_id, item);
   MirrorGetOutcome(outcome, &delta_);
@@ -210,6 +218,7 @@ Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
 
 bool ShardedCacheServer::ShardBatch::Set(uint32_t app_id,
                                          const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const bool counted = shard_->server->Set(app_id, item);
   if (counted) ++delta_.sets;
@@ -219,6 +228,7 @@ bool ShardedCacheServer::ShardBatch::Set(uint32_t app_id,
 
 bool ShardedCacheServer::ShardBatch::Touch(uint32_t app_id,
                                            const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const bool resident = shard_->server->Touch(app_id, item);
   ++ops_;
@@ -227,6 +237,7 @@ bool ShardedCacheServer::ShardBatch::Touch(uint32_t app_id,
 
 void ShardedCacheServer::ShardBatch::Delete(uint32_t app_id,
                                             const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   shard_->server->Delete(app_id, item);
   ++ops_;
@@ -234,6 +245,7 @@ void ShardedCacheServer::ShardBatch::Delete(uint32_t app_id,
 
 Outcome ShardedCacheServer::ShardBatch::Mutate(uint32_t app_id, MutateOp op,
                                                const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   // The shard's own Mutate decides every outcome (an unknown app reads as
   // uncacheable for each op, exactly as on a bare CacheServer); only an
@@ -326,7 +338,13 @@ void ShardedCacheServer::ShardBatch::ReturnLease(const ValueLease& lease) {
 ShardedCacheServer::ShardBatch ShardedCacheServer::BeginBatch(
     size_t shard_index) {
   assert(shard_index < num_shards_);
-  return ShardBatch(this, shard_index);
+  return ShardBatch(this, shard_index, /*wait=*/true);
+}
+
+ShardedCacheServer::ShardBatch ShardedCacheServer::TryBeginBatch(
+    size_t shard_index) {
+  assert(shard_index < num_shards_);
+  return ShardBatch(this, shard_index, /*wait=*/false);
 }
 
 ClassStats ShardedCacheServer::TotalStats() const {

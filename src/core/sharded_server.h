@@ -10,9 +10,14 @@
 //    verbs (Get/Set/...) are each a one-op ShardBatch on the shard the key
 //    hashes to, so both paths share one locking and counting discipline.
 //    Ops on different shards act on disjoint cache state and same-key ops
-//    always hash to the same shard, so a caller that stable-sorts its ops
-//    by ShardForKey and opens one batch per shard gets the same cache
-//    state as routing them one at a time.
+//    always hash to the same shard, so a caller that groups its ops by
+//    ShardForKey (stream order kept within a shard) and opens one batch
+//    per shard gets the same cache state as routing them one at a time,
+//    whatever order it visits the shards in. TryBeginBatch lets such a
+//    caller visit the shards whose locks are free first; CacheAdapter
+//    does, so under contention the order in which one of its bursts
+//    reaches different shards (and draws CAS values there) follows lock
+//    availability.
 //  - Aggregate statistics are mirrored into per-shard cache-line-padded
 //    atomic counters, so TotalStats() is a lock-free read; MergedStats()
 //    and the per-app accessors take every shard lock (in index order) for
@@ -161,10 +166,14 @@ class ShardedCacheServer {
     void ReturnLease(const ValueLease& lease);
 
     [[nodiscard]] size_t shard_index() const { return shard_index_; }
+    // False only for a TryBeginBatch that found the shard busy: such a
+    // batch holds nothing, takes no ops, and dies without publishing.
+    [[nodiscard]] bool owns_lock() const { return lock_.owns_lock(); }
 
    private:
     friend class ShardedCacheServer;
-    ShardBatch(ShardedCacheServer* owner, size_t shard_index);
+    // Locks the shard, or with `wait` false only tries to.
+    ShardBatch(ShardedCacheServer* owner, size_t shard_index, bool wait);
 
     ShardedCacheServer* owner_;
     Shard* shard_;
@@ -176,6 +185,11 @@ class ShardedCacheServer {
 
   // Opens a batch on one shard (locks it until the ShardBatch dies).
   [[nodiscard]] ShardBatch BeginBatch(size_t shard_index);
+  // Like BeginBatch, but never waits: when another thread holds the shard,
+  // the returned batch's owns_lock() is false. Lets a caller with work for
+  // several shards serve the free ones first and come back for the busy
+  // ones (see CacheAdapter's burst engine).
+  [[nodiscard]] ShardBatch TryBeginBatch(size_t shard_index);
 
   [[nodiscard]] size_t num_shards() const { return num_shards_; }
   [[nodiscard]] size_t ShardForKey(uint64_t key) const {

@@ -576,6 +576,66 @@ struct CacheAdapter::BurstOp {
 
 namespace {
 
+// One shard's share of a burst: positions [begin, end) of
+// ShardBuckets::order.
+struct ShardGroup {
+  size_t shard;
+  uint32_t begin;
+  uint32_t end;
+};
+
+// Groups the items of a burst by shard without moving them: a counting
+// sort of their indexes, one pass to count and one to place, so `order`
+// lists every shard's items in stream order, shards ascending, and
+// `groups` names each touched shard's span of it. Thread-local users keep
+// the capacity, so a warm burst cycle does not allocate.
+struct ShardBuckets {
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> starts;
+  std::vector<ShardGroup> groups;
+
+  template <typename ShardOf>
+  void Fill(size_t n, size_t num_shards, ShardOf shard_of) {
+    starts.assign(num_shards + 1, 0);
+    for (size_t i = 0; i < n; ++i) ++starts[shard_of(i) + 1];
+    groups.clear();
+    for (size_t s = 0; s < num_shards; ++s) {
+      const uint32_t count = starts[s + 1];
+      starts[s + 1] = starts[s] + count;
+      if (count != 0) groups.push_back(ShardGroup{s, starts[s], starts[s + 1]});
+    }
+    order.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      order[starts[shard_of(i)]++] = static_cast<uint32_t>(i);
+    }
+  }
+};
+
+// Runs `run(batch, group)` for every group under its shard's ShardBatch,
+// free shards first: each group tries its shard's lock in turn, a busy
+// shard is deferred, and the deferred groups then wait for their locks in
+// the same order. So a burst never idles behind one contended shard while
+// it has work for others. Holds one shard lock at a time; consumes
+// `groups` (the deferred ones are compacted to its front).
+template <typename Run>
+void RunGroupsFreeShardsFirst(ShardedCacheServer* server,
+                              std::vector<ShardGroup>* groups, Run&& run) {
+  size_t deferred = 0;
+  for (const ShardGroup& group : *groups) {
+    ShardedCacheServer::ShardBatch batch = server->TryBeginBatch(group.shard);
+    if (batch.owns_lock()) {
+      run(batch, group);
+    } else {
+      (*groups)[deferred++] = group;
+    }
+  }
+  for (size_t g = 0; g < deferred; ++g) {
+    const ShardGroup group = (*groups)[g];
+    ShardedCacheServer::ShardBatch batch = server->BeginBatch(group.shard);
+    run(batch, group);
+  }
+}
+
 // Commands whose effects are confined to one key's shard. Everything else
 // (stats/version/flush_all/quit/protocol errors) acts as a barrier and is
 // handled in stream order.
@@ -691,27 +751,25 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                           server_->ShardForKey(rk.key_id)});
   }
 
-  // Group by shard, in stream order within a shard (slots rise with the
-  // stream, so sorting by (shard, slot) is a stable sort by shard without
-  // its temporary buffer). Keeping same-shard — and therefore same-key —
-  // op order is what makes the grouped execution equivalent to the
-  // sequential stream, including read-your-write for a pipelined
-  // `set k` ... `get k` in one burst.
-  std::sort(ops.begin(), ops.end(), [](const BurstOp& a, const BurstOp& b) {
-    return a.shard != b.shard ? a.shard < b.shard : a.slot < b.slot;
-  });
+  // Group by shard, in stream order within a shard. Keeping same-shard —
+  // and therefore same-key — op order is what makes the grouped execution
+  // equivalent to the sequential stream, including read-your-write for a
+  // pipelined `set k` ... `get k` in one burst.
+  static thread_local ShardBuckets buckets;
+  buckets.Fill(ops.size(), server_->num_shards(),
+               [](size_t i) { return ops[i].shard; });
 
-  // Execution: one core ShardBatch (shard lock) per shard per run, released
-  // as soon as the group ends; ~ShardBatch then publishes the counter
-  // deltas and bumps the rebalance cadence.
-  size_t i = 0;
-  while (i < ops.size()) {
-    const size_t shard_index = ops[i].shard;
-    ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard_index);
-    for (; i < ops.size() && ops[i].shard == shard_index; ++i) {
-      ExecuteOpLocked(batch, ops[i], counts, &replies[ops[i].slot]);
-    }
-  }
+  // Execution: one core ShardBatch (shard lock) per shard per run, free
+  // shards first, each released as soon as its group ends; ~ShardBatch then
+  // publishes the counter deltas and bumps the rebalance cadence.
+  RunGroupsFreeShardsFirst(
+      server_, &buckets.groups,
+      [&](ShardedCacheServer::ShardBatch& batch, const ShardGroup& group) {
+        for (uint32_t k = group.begin; k < group.end; ++k) {
+          const BurstOp& op = ops[buckets.order[k]];
+          ExecuteOpLocked(batch, op, counts, &replies[op.slot]);
+        }
+      });
 
   // Coalescing, in command order: copied bytes join the open segment's
   // text; a borrowed payload closes the segment, and the CRLF after it
@@ -757,22 +815,20 @@ void CacheAdapter::ReleaseBurstPins() { ReleaseBorrowsFrom(0); }
 
 void CacheAdapter::ReleaseBorrowsFrom(size_t first) {
   // Group by shard so each touched shard's lock is taken once, even when
-  // barrier commands split the burst into several runs (a single run
-  // borrows in ascending shard order already).
-  const auto begin = t_borrows.begin() + static_cast<ptrdiff_t>(first);
-  const auto by_shard = [](const Borrow& a, const Borrow& b) {
-    return a.shard < b.shard;
-  };
-  if (!std::is_sorted(begin, t_borrows.end(), by_shard)) {
-    std::sort(begin, t_borrows.end(), by_shard);
-  }
-  for (size_t i = first; i < t_borrows.size();) {
-    const size_t shard_index = t_borrows[i].shard;
-    ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard_index);
-    for (; i < t_borrows.size() && t_borrows[i].shard == shard_index; ++i) {
-      batch.ReturnLease(t_borrows[i].lease);
-    }
-  }
+  // barrier commands split the burst into several runs, and free shards
+  // first, as in ExecuteShardedRun.
+  if (first == t_borrows.size()) return;
+  static thread_local ShardBuckets buckets;
+  const Borrow* borrows = t_borrows.data() + first;
+  buckets.Fill(t_borrows.size() - first, server_->num_shards(),
+               [borrows](size_t i) { return borrows[i].shard; });
+  RunGroupsFreeShardsFirst(
+      server_, &buckets.groups,
+      [&](ShardedCacheServer::ShardBatch& batch, const ShardGroup& group) {
+        for (uint32_t k = group.begin; k < group.end; ++k) {
+          batch.ReturnLease(borrows[buckets.order[k]].lease);
+        }
+      });
   t_borrows.resize(first);
 }
 

@@ -24,10 +24,22 @@
 //    alive: eviction frees the slot synchronously.
 //  - One execution path. Every get/store/arith/touch/delete runs through
 //    ExecuteShardedRun: a run of such commands is expanded into per-key
-//    ops, stable-sorted by shard and executed under one ShardBatch per
-//    shard. HandleBatch feeds it whole bursts; Handle() is a one-command
-//    HandleBatch. Only the barrier verbs (stats/version/flush_all/quit/
-//    protocol errors) have handlers of their own.
+//    ops, grouped by shard in one linear pass (stream order kept within a
+//    shard) and executed under one ShardBatch per shard. HandleBatch feeds
+//    it whole bursts; Handle() is a one-command HandleBatch. Only the
+//    barrier verbs (stats/version/flush_all/quit/protocol errors) have
+//    handlers of their own.
+//  - Free shards first. Each shard group first tries its shard's lock
+//    (ShardedCacheServer::TryBeginBatch); a group whose shard another
+//    worker holds is deferred, and the deferred groups wait for their
+//    locks after every free shard is served. The thread holds one shard
+//    lock at a time, so no lock order is needed. Uncontended, groups run
+//    in ascending shard order. Under contention the order between shards
+//    follows lock availability, and so does the order in which one
+//    burst's stores on different shards draw their CAS values (the cas
+//    counter is read under the shard lock); each shard's ops, and so each
+//    key's, keep stream order. ReleaseBurstPins returns leases the same
+//    way.
 //  - Coalesced replies. Each op writes its reply into a thread-local
 //    scratch slot (capacity reused across bursts) while its shard's group
 //    runs; the run then copies the slots, in command order, into as few
@@ -148,18 +160,19 @@ class CacheAdapter final : public CommandHandler {
   // Burst entry point, called once per burst by the socket server:
   // consecutive shardable commands are grouped by shard and executed under
   // ONE core ShardBatch per shard per run, instead of one lock acquisition
-  // per op; each shard lock is released when its group finishes. Reply
-  // slots are claimed in command/key order and copied out in that order,
-  // so the byte stream is identical to handling the commands one at a
-  // time: ops on different shards touch disjoint state, and same-key ops
-  // always hash to the same shard, where the grouping preserves their
-  // order (read-your-write within a pipelined burst included). A GET hit
-  // of kMinBorrowBytes or more borrows its payload from the value arena
-  // under a lease (see "Zero-copy GET" above). The burst fills one segment
-  // per borrowed payload plus one (see "Coalesced replies" above); barrier
-  // commands (stats/version/flush_all/quit/errors) append their replies to
-  // the open segment in place, and on `quit` the replies so far are in the
-  // segments when false is returned.
+  // per op, free shards first (see "Free shards first" above); each shard
+  // lock is released when its group finishes. Reply slots are claimed in
+  // command/key order and copied out in that order, so the byte stream is
+  // identical to handling the commands one at a time: ops on different
+  // shards touch disjoint state, and same-key ops always hash to the same
+  // shard, where the grouping preserves their order (read-your-write
+  // within a pipelined burst included). A GET hit of kMinBorrowBytes or
+  // more borrows its payload from the value arena under a lease (see
+  // "Zero-copy GET" above). The burst fills one segment per borrowed
+  // payload plus one (see "Coalesced replies" above); barrier commands
+  // (stats/version/flush_all/quit/errors) append their replies to the open
+  // segment in place, and on `quit` the replies so far are in the segments
+  // when false is returned.
   bool HandleBatch(const Command* cmds, size_t count,
                    std::vector<ResponseSegment>* segments) override;
   // Returns the borrow leases this thread's HandleBatch calls took, taking
@@ -270,15 +283,17 @@ class CacheAdapter final : public CommandHandler {
   // The burst engine: expands a run of shardable commands into per-key ops
   // with pre-claimed reply slots, groups the ops by shard (keeping command
   // order within a shard), and executes each group under one core
-  // ShardBatch, released when the group ends. The replies are then
-  // appended, in command order, to the open segment (*segments)[*used - 1];
-  // each borrowed payload closes the open segment and claims the next.
+  // ShardBatch, released when the group ends, free shards first. The
+  // replies are then appended, in command order, to the open segment
+  // (*segments)[*used - 1]; each borrowed payload closes the open segment
+  // and claims the next.
   void ExecuteShardedRun(const Command* cmds, size_t count,
                          CounterBlock& counts,
                          std::vector<ResponseSegment>* segments,
                          size_t* used);
   // Returns the leases of this thread's borrow list from index `first` on,
-  // one lock acquisition per touched shard, and truncates the list there.
+  // one lock acquisition per touched shard, free shards first, and
+  // truncates the list there.
   void ReleaseBorrowsFrom(size_t first);
 
   // stats/version/flush_all/quit/protocol errors; false on quit.

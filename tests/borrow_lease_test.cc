@@ -100,6 +100,43 @@ TEST(ValueStoreLease, RewriteOfALeasedSlotCopiesOnWrite) {
   EXPECT_TRUE(store.CheckInvariants());
 }
 
+// AppCache::GetByKey reuses the Ref it found before the counted probe when
+// this count shows the store unchanged since, so every call that can move
+// a key's index entry must move it, and no read may.
+TEST(ValueStoreMutations, MoveOnEveryIndexChangeAndNeverOnReads) {
+  ValueStore store;
+  uint64_t last = store.mutations();
+  const auto moved = [&store, &last] {
+    const uint64_t now = store.mutations();
+    const bool changed = now != last;
+    last = now;
+    return changed;
+  };
+
+  store.StorePhysical(1, 1, "value", 5, /*flags=*/0, /*cas=*/1, 10);
+  EXPECT_TRUE(moved());
+  const ValueStore::Ref ref = store.Find(1);
+  ValueView view;
+  store.FillView(ref, &view);
+  EXPECT_EQ(store.Header(ref).value_size, 5u);
+  const ValueLease lease = store.Lease(ref);
+  ValueStore::ReturnLease(lease);
+  EXPECT_FALSE(moved()) << "Find, FillView, Header and leases are reads";
+
+  store.RewriteInPlace(1, ref, "v2", 2, 0, 2, 11);
+  EXPECT_TRUE(moved());
+  store.OnValueDrop(1);  // physical -> shadow-only
+  EXPECT_TRUE(moved());
+  store.RegisterShadow(2, 1);
+  EXPECT_TRUE(moved());
+  store.OnKeyGone(1);
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(store.Find(1).found);
+  EXPECT_TRUE(store.Find(2).found);
+  EXPECT_FALSE(moved());
+  EXPECT_TRUE(store.CheckInvariants());
+}
+
 // One adapter over a one-shard server (so eviction order is predictable),
 // pipelined bursts in, replies out as the socket server would flush them.
 class BorrowLeaseTest : public ::testing::Test {

@@ -2,6 +2,8 @@
 // (Algorithms 2-3) and the CacheServer that combines them.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/cache_server.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -576,6 +578,55 @@ TEST(CacheServer, ShadowOverheadStaysUnderPaperBound) {
     if (!server.Get(1, m).hit) server.Set(1, m);
   }
   EXPECT_LT(app.shadow_overhead_bytes(), 600u * 1024u);
+}
+
+// A value-mode GET hit can lose its slot inside the access that found it:
+// a cliff-scaler step that collapses the partition empties the right
+// queue, the hit key possibly with it. GetByKey must then serve nothing
+// rather than the slot it found before the probe. The scaler here splits
+// and collapses readily (a scan mixed with a hot set, no hill climbing to
+// move the capacity), so such hits happen; every served hit must be the
+// resident value.
+TEST(CacheServer, ValueHitWhoseSlotTheScalerDropsIsNotServed) {
+  ServerConfig config;
+  config.allocation = AllocationMode::kCliffhanger;
+  config.knobs.hill_climbing = false;
+  config.knobs.scaler.stable_accesses_to_engage = 0;
+  config.knobs.scaler.exit_confirmations = 1;
+  config.store_values = true;
+  CacheServer server(config);
+  server.AddApp(1, 1 << 20);
+  constexpr uint32_t kNow = 1;
+  const auto value_of = [](uint64_t key) {
+    return std::string(100, static_cast<char>('a' + key % 26));
+  };
+  Rng rng(41);
+  uint64_t dropped = 0;
+  uint64_t served = 0;
+  for (uint64_t i = 0; i < 400000; ++i) {
+    const uint64_t key =
+        i % 2 == 0 ? 100000 + (i / 2) % 6000 : rng.NextBounded(2000);
+    const ValueOutcome vo = server.GetByKey(1, key, 14, kNow, 0);
+    const ValueOutcome peek = server.PeekByKey(1, key, kNow, 0);
+    if (vo.valid) {
+      ++served;
+      ASSERT_TRUE(peek.valid);
+      ASSERT_EQ(vo.view.data, peek.view.data);
+      ASSERT_EQ(std::string(vo.view.data, vo.view.size), value_of(key));
+      continue;
+    }
+    if (vo.outcome.hit) {
+      ++dropped;
+      ASSERT_FALSE(peek.valid);
+    }
+    const std::string value = value_of(key);
+    ItemMeta item = Item(key, static_cast<uint32_t>(value.size()));
+    item.now_s = kNow;
+    server.SetValue(1, item, value.data(), 0, i + 1);
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(served, 0u);
+  EXPECT_TRUE(server.CheckInvariants());
 }
 
 }  // namespace

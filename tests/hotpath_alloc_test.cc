@@ -15,16 +15,21 @@
 // The second proof covers the network adapter's burst path on top:
 // CacheAdapter::HandleBatch + ReleaseBurstPins over pre-parsed mixed
 // bursts whose GET hits borrow their payloads under leases while SETs
-// overwrite and evict the borrowed slots and incr/append rewrite them.
+// overwrite and evict the borrowed slots and incr/append rewrite them. The
+// third runs one such burst while another thread holds a shard, so the
+// burst defers that shard's ops and waits for its lock last.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/sharded_server.h"
@@ -235,63 +240,80 @@ struct AdapterBursts {
   std::vector<net::Command> cmds[kBursts];
 };
 
-TEST_P(HotPathAllocTest, AdapterBurstsWithBorrowedHitsAllocateNothing) {
-  ShardedServerConfig config;
-  config.server = GetParam() ? CliffhangerServerConfig()
-                             : DefaultServerConfig();
-  config.server.store_values = true;
-  config.num_shards = 2;
-  config.rebalance_interval_ops = 1ULL << 40;  // see HotPathRig
-  ShardedCacheServer server(config);
-  server.AddApp(1, 4ULL << 20);
-  server.AddApp(2, 2 * kPageSize);  // one 64 KiB page per shard
-  net::CacheAdapterConfig adapter_config;
-  adapter_config.clock = [] { return 100u; };
-  net::CacheAdapter adapter(&server, adapter_config);
-  const AdapterBursts bursts;
-  for (int b = 0; b < AdapterBursts::kBursts; ++b) {
-    ASSERT_EQ(bursts.cmds[b].size(), AdapterBursts::kCommands);
-  }
-  {
+// The adapter over a two-shard server, the counter seeded, running the
+// AdapterBursts the way a socket worker does (HandleBatch, flush,
+// ReleaseBurstPins).
+struct AdapterRig {
+  explicit AdapterRig(bool cliffhanger) : server(MakeConfig(cliffhanger)) {
+    server.AddApp(1, 4ULL << 20);
+    server.AddApp(2, 2 * kPageSize);  // one 64 KiB page per shard
+    net::CacheAdapterConfig adapter_config;
+    adapter_config.clock = [] { return 100u; };
+    adapter = std::make_unique<net::CacheAdapter>(&server, adapter_config);
     // Seeds the counter before the first incr.
     net::Command seed;
     size_t consumed = 0;
     net::AsciiParser parser;
     const std::string text = "set n 0 0 1\r\n0\r\n";
-    ASSERT_EQ(parser.Next(text, &consumed, &seed),
+    EXPECT_EQ(parser.Next(text, &consumed, &seed),
               net::ParseStatus::kCommand);
     std::string out;
-    adapter.Handle(seed, &out);
-    ASSERT_EQ(out, "STORED\r\n");
+    adapter->Handle(seed, &out);
+    EXPECT_EQ(out, "STORED\r\n");
   }
 
-  std::vector<net::ResponseSegment> segments;
-  uint64_t borrowed = 0;
-  uint64_t max_retired = 0;
-  const auto pass = [&](bool inspect) {
+  static ShardedServerConfig MakeConfig(bool cliffhanger) {
+    ShardedServerConfig config;
+    config.server =
+        cliffhanger ? CliffhangerServerConfig() : DefaultServerConfig();
+    config.server.store_values = true;
+    config.num_shards = 2;
+    config.rebalance_interval_ops = 1ULL << 40;  // see HotPathRig
+    return config;
+  }
+
+  void Burst(int b) {
+    for (net::ResponseSegment& seg : segments) seg.Reset();
+    adapter->HandleBatch(bursts.cmds[b].data(), bursts.cmds[b].size(),
+                         &segments);
+    for (const net::ResponseSegment& seg : segments) {
+      if (seg.payload != nullptr) ++borrowed;
+    }
+  }
+
+  void Pass(bool inspect) {
     for (int b = 0; b < AdapterBursts::kBursts; ++b) {
-      for (net::ResponseSegment& seg : segments) seg.Reset();
-      adapter.HandleBatch(bursts.cmds[b].data(), bursts.cmds[b].size(),
-                          &segments);
-      for (const net::ResponseSegment& seg : segments) {
-        if (seg.payload != nullptr) ++borrowed;
-      }
+      Burst(b);
       if (inspect) {
         // Outside the counted window (the snapshot allocates).
         max_retired = std::max(max_retired,
                                server.MergedValueStats().retired_slots);
       }
-      adapter.ReleaseBurstPins();
+      adapter->ReleaseBurstPins();
     }
-  };
+  }
+
+  ShardedCacheServer server;
+  std::unique_ptr<net::CacheAdapter> adapter;
+  const AdapterBursts bursts;
+  std::vector<net::ResponseSegment> segments;
+  uint64_t borrowed = 0;
+  uint64_t max_retired = 0;
+};
+
+TEST_P(HotPathAllocTest, AdapterBurstsWithBorrowedHitsAllocateNothing) {
+  AdapterRig rig(GetParam());
+  for (int b = 0; b < AdapterBursts::kBursts; ++b) {
+    ASSERT_EQ(rig.bursts.cmds[b].size(), AdapterBursts::kCommands);
+  }
   // Warm-up: every segment string, thread-local scratch vector, index and
   // arena reaches its high-water mark.
-  for (int warm = 0; warm < 4; ++warm) pass(false);
+  for (int warm = 0; warm < 4; ++warm) rig.Pass(false);
 
-  borrowed = 0;
+  rig.borrowed = 0;
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
-  pass(false);
+  rig.Pass(false);
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
       << "heap allocations leaked into the adapter's burst path";
@@ -299,13 +321,53 @@ TEST_P(HotPathAllocTest, AdapterBurstsWithBorrowedHitsAllocateNothing) {
   // The window did the work it claims: hits were borrowed, and a pass
   // retires borrowed slots (overwritten, rewritten or evicted) that come
   // back once the leases are returned.
-  EXPECT_GE(borrowed, 10u * AdapterBursts::kBursts);
-  pass(true);
-  EXPECT_GT(max_retired, 0u);
-  const ShardedCacheServer::ValueStats vs = server.MergedValueStats();
+  EXPECT_GE(rig.borrowed, 10u * AdapterBursts::kBursts);
+  rig.Pass(true);
+  EXPECT_GT(rig.max_retired, 0u);
+  const ShardedCacheServer::ValueStats vs = rig.server.MergedValueStats();
   EXPECT_EQ(vs.leases, 0u);
   EXPECT_EQ(vs.retired_slots, 0u);
-  EXPECT_TRUE(server.CheckInvariants());
+  EXPECT_TRUE(rig.server.CheckInvariants());
+}
+
+// The same warm burst while another thread holds shard 0: the burst serves
+// shard 1 first, defers shard 0 and waits for it, and none of that
+// allocates. The holder lets go once shard 1's ops are counted.
+TEST_P(HotPathAllocTest, AdapterBurstWithABusyShardAllocatesNothing) {
+  AdapterRig rig(GetParam());
+  for (int warm = 0; warm < 4; ++warm) rig.Pass(false);
+
+  const ClassStats before = rig.server.TotalStats();
+  std::atomic<bool> holding{false};
+  std::atomic<bool> others_served{false};
+  std::thread holder([&] {
+    ShardedCacheServer::ShardBatch hold = rig.server.BeginBatch(0);
+    holding.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const ClassStats now = rig.server.TotalStats();
+      if (now.gets + now.sets > before.gets + before.sets) {
+        others_served.store(true);
+        break;
+      }
+      std::this_thread::yield();
+    }
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  rig.Burst(0);
+  rig.adapter->ReleaseBurstPins();
+  g_counting.store(false, std::memory_order_relaxed);
+  holder.join();
+  EXPECT_TRUE(others_served.load())
+      << "the burst waited for shard 0 before serving shard 1";
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+      << "heap allocations leaked into the contended burst path";
+  EXPECT_EQ(rig.server.MergedValueStats().leases, 0u);
+  EXPECT_TRUE(rig.server.CheckInvariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, HotPathAllocTest,

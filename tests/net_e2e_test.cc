@@ -1826,8 +1826,10 @@ class AdapterCounters : public ::testing::Test {
     return config;
   }
 
-  // Runs the commands of `text` (which they alias) as one burst.
-  static void Burst(net::CacheAdapter& adapter, const std::string& text) {
+  // Runs the commands of `text` (which they alias) as one burst; `reply`,
+  // when given, receives the bytes a flush of the burst would write.
+  static void Burst(net::CacheAdapter& adapter, const std::string& text,
+                    std::string* reply = nullptr) {
     std::vector<net::Command> cmds;
     net::AsciiParser parser;
     size_t offset = 0;
@@ -1842,6 +1844,14 @@ class AdapterCounters : public ::testing::Test {
     }
     std::vector<net::ResponseSegment> segments;
     EXPECT_TRUE(adapter.HandleBatch(cmds.data(), cmds.size(), &segments));
+    if (reply != nullptr) {
+      for (const net::ResponseSegment& seg : segments) {
+        reply->append(seg.text);
+        if (seg.payload != nullptr) {
+          reply->append(seg.payload, seg.payload_size);
+        }
+      }
+    }
     adapter.ReleaseBurstPins();
   }
 
@@ -1919,6 +1929,76 @@ TEST_F(AdapterCounters, AlternatingAdaptersKeepOneBlockPerThread) {
   EXPECT_EQ(second.counter_blocks(), 1u);
   EXPECT_EQ(first.counters().cmd_get, 10u);
   EXPECT_EQ(second.counters().cmd_get, 20u);
+}
+
+// A burst serves the shards whose locks are free first and waits for a
+// busy one last, instead of queueing behind it in shard order.
+class AdapterShardLocks : public AdapterCounters {};
+
+TEST_F(AdapterShardLocks, ABusyShardDoesNotStallTheRestOfTheBurst) {
+  net::CacheAdapter adapter(&server_, adapter_config_);
+  constexpr size_t kKeysPerShard = 4;
+  // Keys found by hashing until every shard has kKeysPerShard of them.
+  std::vector<std::string> keys;
+  std::vector<size_t> per_shard(server_.num_shards(), 0);
+  for (int i = 0; keys.size() < kKeysPerShard * server_.num_shards(); ++i) {
+    const std::string key = "lock" + std::to_string(i);
+    const size_t shard = server_.ShardForKey(Fnv1a64(key));
+    if (per_shard[shard] == kKeysPerShard) continue;
+    ++per_shard[shard];
+    keys.push_back(key);
+  }
+  // A SET of every key, then one multiget of them all; every other value
+  // is large enough to be borrowed.
+  std::string text;
+  std::string multiget = "get";
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const std::string value(k % 2 == 0 ? 100 : 1500,
+                            static_cast<char>('a' + k % 26));
+    text += "set " + keys[k] + " 0 0 " + std::to_string(value.size()) +
+            "\r\n" + value + "\r\n";
+    multiget += " " + keys[k];
+  }
+  text += multiget + "\r\n";
+
+  std::string uncontended;
+  Burst(adapter, text, &uncontended);
+  ASSERT_NE(uncontended.find("VALUE"), std::string::npos);
+
+  // Each op on a free shard is a counted SET or GET once its group's batch
+  // is released.
+  const ClassStats before = server_.TotalStats();
+  const uint64_t free_shard_ops = 2 * kKeysPerShard * (per_shard.size() - 1);
+  std::atomic<bool> done{false};
+  std::string contended;
+  std::thread worker;
+  {
+    ShardedCacheServer::ShardBatch hold = server_.BeginBatch(0);
+    worker = std::thread([&] {
+      Burst(adapter, text, &contended);
+      done.store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    uint64_t served = 0;
+    while (std::chrono::steady_clock::now() < deadline) {
+      const ClassStats now = server_.TotalStats();
+      served = (now.sets - before.sets) + (now.gets - before.gets);
+      if (served >= free_shard_ops) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(served, free_shard_ops)
+        << "the free shards waited behind the held one";
+    EXPECT_FALSE(done.load()) << "the burst finished without shard 0";
+  }  // releases shard 0
+  worker.join();
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(contended, uncontended);
+  const ClassStats after = server_.TotalStats();
+  EXPECT_EQ((after.sets - before.sets) + (after.gets - before.gets),
+            2 * keys.size());
+  EXPECT_EQ(server_.MergedValueStats().leases, 0u);
+  EXPECT_TRUE(server_.CheckInvariants());
 }
 
 }  // namespace
