@@ -125,7 +125,11 @@ struct PhaseResult {
 };
 
 // Runs `ops` GET-with-demand-fill requests round-robin-randomly over the
-// live tenants, timing every kLatencySampleEvery-th op.
+// live tenants, timing every kLatencySampleEvery-th op, and tallies the
+// counted GETs and their hits into *result. The tally comes from the
+// outcomes, not from the server's statistics: a departing tenant's
+// statistics die with it, so a phase's stats delta could go backwards
+// across churn.
 void RunTraffic(ShardedCacheServer& server, std::deque<Tenant>& live,
                 Rng& rng, uint64_t ops, PhaseResult* result) {
   using Clock = std::chrono::steady_clock;
@@ -146,24 +150,12 @@ void RunTraffic(ShardedCacheServer& server, std::deque<Tenant>& live,
           Clock::now() - start;
       result->sample_us.push_back(us.count());
     }
+    if (outcome.cacheable) {
+      ++result->gets;
+      if (outcome.hit) ++result->hits;
+    }
   }
 }
-
-// Snapshot-delta bookkeeping: TotalStats() reads the sharded server's
-// append-only counter mirrors, which survive tenant removal (an AppCache's
-// own statistics die with it, so MergedStats deltas would go backwards
-// across churn).
-struct StatsDelta {
-  ClassStats base;
-  explicit StatsDelta(const ShardedCacheServer& server)
-      : base(server.TotalStats()) {}
-  void Fold(const ShardedCacheServer& server, PhaseResult* result) {
-    const ClassStats now = server.TotalStats();
-    result->gets = now.gets - base.gets;
-    result->hits = now.hits - base.hits;
-    base = now;
-  }
-};
 
 struct ScaleReport {
   size_t tenants = 0;
@@ -186,14 +178,12 @@ bool RunScale(size_t num_tenants, uint64_t phase_ops, ScaleReport* report) {
 
   report->tenants = num_tenants;
   using Clock = std::chrono::steady_clock;
-  StatsDelta delta(server);
 
   // Warm: the climbers and scalers reach their operating points.
   Clock::time_point t0 = Clock::now();
   RunTraffic(server, live, rng, phase_ops, &report->warm);
   report->warm.seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  delta.Fold(server, &report->warm);
   report->reserved_warm = server.TotalReservation();
   server.Rebalance();
 
@@ -226,7 +216,6 @@ bool RunScale(size_t num_tenants, uint64_t phase_ops, ScaleReport* report) {
   }
   report->churn.seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  delta.Fold(server, &report->churn);
   report->reserved_churn = server.TotalReservation();
 
   // Steady: the post-churn fleet settles.
@@ -234,7 +223,6 @@ bool RunScale(size_t num_tenants, uint64_t phase_ops, ScaleReport* report) {
   RunTraffic(server, live, rng, phase_ops / 2, &report->steady);
   report->steady.seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  delta.Fold(server, &report->steady);
   report->reserved_steady = server.TotalReservation();
   if (!server.CheckInvariants()) {
     std::fprintf(stderr, "invariant violation at steady state, %zu tenants\n",

@@ -47,14 +47,4 @@ PiecewiseCurve ScaleCurveX(const PiecewiseCurve& curve, double factor) {
   return PiecewiseCurve(std::move(xs), curve.ys());
 }
 
-double TotalHitRate(const std::vector<PiecewiseCurve>& curves,
-                    const std::vector<double>& request_shares,
-                    const std::vector<double>& capacities) {
-  double total = 0.0;
-  for (size_t i = 0; i < curves.size(); ++i) {
-    total += request_shares[i] * curves[i].Eval(capacities[i]);
-  }
-  return total;
-}
-
 }  // namespace cliffhanger

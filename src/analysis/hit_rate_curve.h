@@ -25,10 +25,4 @@ namespace cliffhanger {
 [[nodiscard]] PiecewiseCurve ScaleCurveX(const PiecewiseCurve& curve,
                                          double factor);
 
-// Weighted sum of several curves evaluated at per-curve capacities — the
-// objective of Equation 1.
-[[nodiscard]] double TotalHitRate(const std::vector<PiecewiseCurve>& curves,
-                                  const std::vector<double>& request_shares,
-                                  const std::vector<double>& capacities);
-
 }  // namespace cliffhanger

@@ -89,14 +89,6 @@ struct ItemAttrs {
   uint64_t cas = 0;       // monotonically assigned per store
 };
 
-// Op-based mutation surface of the core (CacheServer::Mutate). The
-// protocol-level conditional verbs (add/replace/cas/append/prepend/incr/
-// decr) all reduce to these three once the payload owner has consulted its
-// value table: a store becomes kFill (with the new size), touch becomes
-// kTouch (expiry update + recency bump, no statistics mutation), and an
-// invalidation (delete, expired reclaim, flush) becomes kErase.
-enum class MutateOp : uint8_t { kFill, kTouch, kErase };
-
 // Minimal queue interface shared by the slab-class queue and the
 // alternative eviction schemes (ARC, LFU) so the server and the benches can
 // swap them freely.

@@ -11,6 +11,25 @@
 
 namespace cliffhanger {
 
+namespace {
+
+// Cap on the cliff-aware gradient amplification fed to the cross-app
+// climber. When the class a hill-shadow hit came from sits on a cliff, the
+// raw shadow hit rate samples the depressed gradient at the cliff edges
+// while the app actually operates on the concave hull, whose slope across
+// the cliff is steeper; the per-hit credit is scaled by
+// 1 + (right_ptr - left_ptr) / operating_point, clamped to this cap, so
+// on-cliff apps are not starved by the very cliffs the scaler bridges.
+constexpr double kMaxCrossAppGradientWeight = 8.0;
+
+// Credit clamp (HillClimberConfig::max_credit_quanta) for the cross-app
+// climber: bounds the transfer burst a tenant can unleash after its donors
+// unfloor. The within-app climber keeps `climber.max_credit_quanta`
+// (default unbounded — the paper-replay goldens pin those dynamics).
+constexpr uint64_t kCrossAppMaxCreditQuanta = 4;
+
+}  // namespace
+
 // --- AppCache internals ---
 
 struct AppCache::ClassEntry {
@@ -231,8 +250,7 @@ double AppCache::HillGradientWeight(const ClassEntry& entry) const {
   if (operating_items <= 0.0) return 1.0;
   const double span = scaler->right_pointer() - scaler->left_pointer();
   if (span <= 0.0) return 1.0;
-  return std::min(1.0 + span / operating_items,
-                  config_.knobs.cross_app_max_gradient_weight);
+  return std::min(1.0 + span / operating_items, kMaxCrossAppGradientWeight);
 }
 
 bool AppCache::Set(const ItemMeta& item) {
@@ -263,22 +281,6 @@ bool AppCache::Touch(const ItemMeta& item) {
   // not allocate queue state.
   const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
   return entry != nullptr && entry->queue->Touch(item);
-}
-
-Outcome AppCache::Mutate(MutateOp op, const ItemMeta& item) {
-  Outcome outcome;
-  switch (op) {
-    case MutateOp::kFill:
-      outcome.cacheable = Set(item);
-      break;
-    case MutateOp::kTouch:
-      outcome.hit = Touch(item);
-      break;
-    case MutateOp::kErase:
-      Delete(item);
-      break;
-  }
-  return outcome;
 }
 
 void AppCache::Delete(const ItemMeta& item) {
@@ -370,7 +372,18 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
                                       ? ref
                                       : value_store_->Find(key);
   assert(hit_ref == value_store_->Find(key));
-  if (!hit_ref.has_slot()) return vo;
+  if (!hit_ref.has_slot()) {
+    // The slot went with that scaler step, so nothing is served: the
+    // access counts as a miss, and outcome.hit is false with region kMiss,
+    // as for any miss. The controllers already took it as the queue hit it
+    // was; only the statistics GetAtClass counted are taken back.
+    ClassStats& stats = classes_[static_cast<size_t>(slab_class)]->stats;
+    --stats.hits;
+    if (vo.outcome.region == HitRegion::kPhysicalTail) --stats.tail_hits;
+    vo.outcome.hit = false;
+    vo.outcome.region = HitRegion::kMiss;
+    return vo;
+  }
   value_store_->FillView(hit_ref, &vo.view);
   vo.view.expiry_s = expiry_s;
   vo.valid = true;
@@ -654,12 +667,6 @@ ClassStats AppCache::TotalStats() const {
   return total;
 }
 
-ClassStats AppCache::StatsForClass(int slab_class) const {
-  if (slab_class < 0 || slab_class >= kMaxSlabClasses) return ClassStats{};
-  const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
-  return entry == nullptr ? ClassStats{} : entry->stats;
-}
-
 // --- CacheServer ---
 
 // Climber surface for a whole application (cross-app mode): "queue size" is
@@ -693,7 +700,7 @@ CacheServer::CacheServer(const ServerConfig& config) : config_(config) {
   if (config_.allocation == AllocationMode::kCliffhanger &&
       config_.knobs.cross_app) {
     HillClimberConfig cross = config_.knobs.climber;
-    cross.max_credit_quanta = config_.knobs.cross_app_max_credit_quanta;
+    cross.max_credit_quanta = kCrossAppMaxCreditQuanta;
     cross_climber_ = std::make_unique<HillClimber>(
         cross, HashCombine(config_.seed, 0xA99ULL));
   }
@@ -806,7 +813,7 @@ const AppCache* CacheServer::app(uint32_t app_id) const {
 // on the RemoveApp race with in-flight daemon ops.
 
 Outcome CacheServer::Get(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   if (a == nullptr) {
     Outcome o;
     o.cacheable = false;
@@ -816,35 +823,24 @@ Outcome CacheServer::Get(uint32_t app_id, const ItemMeta& item) {
 }
 
 bool CacheServer::Set(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   return a != nullptr && a->Set(item);
 }
 
 bool CacheServer::Touch(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   return a != nullptr && a->Touch(item);
 }
 
 void CacheServer::Delete(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   if (a != nullptr) a->Delete(item);
-}
-
-Outcome CacheServer::Mutate(uint32_t app_id, MutateOp op,
-                            const ItemMeta& item) {
-  AppCache* a = app(app_id);
-  if (a == nullptr) {
-    Outcome o;
-    o.cacheable = false;
-    return o;
-  }
-  return a->Mutate(op, item);
 }
 
 ValueOutcome CacheServer::GetByKey(uint32_t app_id, uint64_t key,
                                    uint32_t key_size, uint32_t now_s,
                                    uint32_t flush_at_s, ValueLease* lease) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   if (a == nullptr) {
     ValueOutcome vo;
     vo.outcome.cacheable = false;
@@ -855,7 +851,7 @@ ValueOutcome CacheServer::GetByKey(uint32_t app_id, uint64_t key,
 
 ValueOutcome CacheServer::PeekByKey(uint32_t app_id, uint64_t key,
                                     uint32_t now_s, uint32_t flush_at_s) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   if (a == nullptr) {
     ValueOutcome vo;
     vo.outcome.cacheable = false;
@@ -866,7 +862,7 @@ ValueOutcome CacheServer::PeekByKey(uint32_t app_id, uint64_t key,
 
 bool CacheServer::SetValue(uint32_t app_id, const ItemMeta& item,
                            const void* data, uint32_t flags, uint64_t cas) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   return a != nullptr && a->SetValue(item, data, flags, cas);
 }
 
@@ -874,7 +870,7 @@ ReplaceResult CacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
                                         uint32_t key_size, const void* data,
                                         uint32_t size, uint64_t cas,
                                         uint32_t now_s) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   if (a == nullptr) return ReplaceResult::kFailed;
   return a->ReplaceValue(key, key_size, data, size, cas, now_s);
 }
@@ -882,14 +878,14 @@ ReplaceResult CacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
 bool CacheServer::TouchByKey(uint32_t app_id, uint64_t key, uint32_t key_size,
                              uint32_t expiry_s, uint32_t now_s,
                              uint32_t flush_at_s) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   return a != nullptr &&
          a->TouchByKey(key, key_size, expiry_s, now_s, flush_at_s);
 }
 
 bool CacheServer::DeleteByKey(uint32_t app_id, uint64_t key, uint32_t now_s,
                               uint32_t flush_at_s) {
-  AppCache* a = app(app_id);
+  AppCache* a = Serve(app_id);
   return a != nullptr && a->DeleteByKey(key, now_s, flush_at_s);
 }
 

@@ -47,19 +47,6 @@ struct CliffhangerKnobs {
   // Also run Algorithm 1 across applications (§3.3 / Table 3), using each
   // app's aggregate shadow hits to resize reservations.
   bool cross_app = false;
-  // Cap on the cliff-aware gradient amplification fed to the cross-app
-  // climber. When the class a hill-shadow hit came from sits on a cliff,
-  // the raw shadow hit rate samples the depressed gradient at the cliff
-  // edges while the app actually operates on the concave hull, whose slope
-  // across the cliff is steeper; the per-hit credit is scaled by
-  // 1 + (right_ptr - left_ptr) / operating_point, clamped to this cap, so
-  // on-cliff apps are not starved by the very cliffs the scaler bridges.
-  double cross_app_max_gradient_weight = 8.0;
-  // Credit clamp (HillClimberConfig::max_credit_quanta) for the CROSS-APP
-  // climber: bounds the transfer burst a tenant can unleash after its
-  // donors unfloor. The within-app climber keeps `climber.max_credit_quanta`
-  // (default unbounded — the paper-replay goldens pin those dynamics).
-  uint64_t cross_app_max_credit_quanta = 4;
   HillClimberConfig climber;
   CliffScalerConfig scaler;
 };
@@ -159,12 +146,6 @@ class AppCache {
   bool Touch(const ItemMeta& item);
   void Delete(const ItemMeta& item);
 
-  // Op-based mutation surface (see MutateOp in cache/types.h): kFill maps
-  // to Set (Outcome::cacheable = admitted), kTouch to Touch (Outcome::hit
-  // = resident), kErase to Delete. One entry point for drivers that carry
-  // an op stream rather than calling the verbs directly.
-  Outcome Mutate(MutateOp op, const ItemMeta& item);
-
   // --- Value-mode verbs (ServerConfig::store_values only) ---
   //
   // These carry real payload bytes through the per-class ValueStore while
@@ -174,9 +155,11 @@ class AppCache {
 
   // Counted lookup. Statistics move exactly as Get() would for the key's
   // resident class (or the class a zero-byte value of this key would land
-  // in, when the key is unknown). On a serveable hit `valid` is true and
-  // `view` points at the stored bytes; with `lease`, the hit also takes a
-  // lease on its slot (ValueStore::Lease), which the caller must return.
+  // in, when the key is unknown), except that a hit the access cannot serve
+  // counts as a miss (see the definition). On a serveable hit `valid` is
+  // true and `view` points at the stored bytes; with `lease`, the hit also
+  // takes a lease on its slot (ValueStore::Lease), which the caller must
+  // return.
   ValueOutcome GetByKey(uint64_t key, uint32_t key_size, uint32_t now_s,
                         uint32_t flush_at_s, ValueLease* lease = nullptr);
   // Uncounted validity probe for the read-before-write verbs (add/replace/
@@ -238,8 +221,6 @@ class AppCache {
   };
   [[nodiscard]] std::vector<ClassInfo> ClassInfos() const;
   [[nodiscard]] ClassStats TotalStats() const;
-  // Convenience for experiment drivers.
-  [[nodiscard]] ClassStats StatsForClass(int slab_class) const;
 
  private:
   friend class CacheServer;
@@ -324,7 +305,6 @@ class CacheServer {
   bool Set(uint32_t app_id, const ItemMeta& item);
   bool Touch(uint32_t app_id, const ItemMeta& item);
   void Delete(uint32_t app_id, const ItemMeta& item);
-  Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
 
   // Value-mode verbs, routed by app id (ServerConfig::store_values only).
   ValueOutcome GetByKey(uint32_t app_id, uint64_t key, uint32_t key_size,
@@ -343,6 +323,9 @@ class CacheServer {
                    uint32_t flush_at_s);
 
   [[nodiscard]] const ServerConfig& config() const { return config_; }
+  // Calls of the routed verbs above served so far, soft-failed ones
+  // included: the op count ShardedCacheServer's rebalance cadence reads.
+  [[nodiscard]] uint64_t ops_served() const { return ops_served_; }
   [[nodiscard]] ClassStats TotalStats() const;
   [[nodiscard]] std::vector<uint32_t> app_ids() const;
   [[nodiscard]] size_t num_apps() const { return apps_.size(); }
@@ -354,6 +337,11 @@ class CacheServer {
  private:
   friend class AppCache;
   class AppAdapter;
+  // Every routed verb starts here: counts the call, then finds the app.
+  [[nodiscard]] AppCache* Serve(uint32_t app_id) {
+    ++ops_served_;
+    return app(app_id);
+  }
   // Aggregate per-app shadow signal feeding the cross-app climber. `weight`
   // is the cliff-aware gradient amplification (1.0 off-cliff).
   void OnAppShadowHit(size_t app_index, double weight);
@@ -367,6 +355,7 @@ class CacheServer {
   // Indexed by HillClimber slot; tombstoned (nullptr) after RemoveApp until
   // a later AddApp reuses the slot.
   std::vector<std::unique_ptr<AppAdapter>> app_adapters_;
+  uint64_t ops_served_ = 0;
 };
 
 }  // namespace cliffhanger

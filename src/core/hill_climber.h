@@ -64,8 +64,8 @@ struct HillClimberConfig {
   // Default 0: the paper-replay goldens (fig6/fig7/table4) pin the
   // historical unbounded within-app dynamics bit-exactly, so the within-app
   // climber cannot turn this on by default. The cross-app climber — which
-  // has no such pin — enables it via
-  // CliffhangerKnobs::cross_app_max_credit_quanta.
+  // has no such pin — clamps at 4 quanta (CacheServer's
+  // kCrossAppMaxCreditQuanta).
   uint64_t max_credit_quanta = 0;
 };
 

@@ -6,53 +6,21 @@
 
 namespace cliffhanger {
 
-// Mirror of ClassStats with relaxed atomic fields, one per shard, padded to
-// a cache line so two shards' hot counters never share one (false sharing
-// would serialize otherwise independent shards).
+// Padded to a cache line so two shards' mutexes never share one (false
+// sharing would serialize otherwise independent shards).
 struct alignas(64) ShardedCacheServer::Shard {
   mutable std::mutex mu;
   std::unique_ptr<CacheServer> server;  // guarded by mu
   // Hill-shadow hit totals per app at the last rebalance (guarded by mu).
   std::map<uint32_t, uint64_t> shadow_baseline;
-
-  // Lock-free-read statistics mirror; updated outside the shard lock.
-  std::atomic<uint64_t> ops{0};  // rebalance trigger (all op kinds)
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> sets{0};
-  std::atomic<uint64_t> tail_hits{0};
-  std::atomic<uint64_t> cliff_shadow_hits{0};
-  std::atomic<uint64_t> hill_shadow_hits{0};
-
-  [[nodiscard]] ClassStats CounterSnapshot() const {
-    ClassStats s;
-    s.gets = gets.load(std::memory_order_relaxed);
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.sets = sets.load(std::memory_order_relaxed);
-    s.tail_hits = tail_hits.load(std::memory_order_relaxed);
-    s.cliff_shadow_hits = cliff_shadow_hits.load(std::memory_order_relaxed);
-    s.hill_shadow_hits = hill_shadow_hits.load(std::memory_order_relaxed);
-    return s;
-  }
 };
 
 namespace {
 
-// The single definition of how a Get outcome maps onto the lock-free
-// counter mirror; ShardBatch::Get and ShardBatch::GetValue (and through
-// them every routed read) fold through it.
-void MirrorGetOutcome(const Outcome& outcome, ClassStats* delta) {
-  if (!outcome.cacheable) return;
-  ++delta->gets;
-  if (outcome.hit) {
-    ++delta->hits;
-    if (outcome.region == HitRegion::kPhysicalTail) ++delta->tail_hits;
-  } else if (outcome.region == HitRegion::kCliffShadow) {
-    ++delta->cliff_shadow_hits;
-  } else if (outcome.region == HitRegion::kHillShadow) {
-    ++delta->hill_shadow_hits;
-  }
-}
+// Fraction of the gap between a shard's current reservation and its
+// shadow-signal target that one rebalance closes. Small steps keep the
+// split stable against noisy shadow hits (same spirit as §5.1).
+constexpr double kRebalanceStep = 0.25;
 
 }  // namespace
 
@@ -109,51 +77,46 @@ bool ShardedCacheServer::RemoveApp(uint32_t app_id) {
   return true;
 }
 
-// Every routed verb is a one-op ShardBatch: the batch's destructor already
-// releases the shard lock, publishes the counter delta and advances the
-// rebalance cadence in that order, so the single-op and burst paths share
-// one locking and counter-mirroring discipline by construction.
+// Every routed verb is a one-op ShardBatch: the batch's destructor
+// releases the shard lock and then advances the rebalance cadence, so the
+// single-op and burst paths share one locking discipline by construction.
 
 Outcome ShardedCacheServer::Get(uint32_t app_id, const ItemMeta& item) {
-  return BeginBatch(ShardForKey(item.key)).Get(app_id, item);
+  return BeginBatch(ShardForKey(item.key)).server(item.key).Get(app_id, item);
 }
 
 bool ShardedCacheServer::Set(uint32_t app_id, const ItemMeta& item) {
-  return BeginBatch(ShardForKey(item.key)).Set(app_id, item);
+  return BeginBatch(ShardForKey(item.key)).server(item.key).Set(app_id, item);
 }
 
 bool ShardedCacheServer::Touch(uint32_t app_id, const ItemMeta& item) {
-  return BeginBatch(ShardForKey(item.key)).Touch(app_id, item);
+  return BeginBatch(ShardForKey(item.key)).server(item.key).Touch(app_id,
+                                                                  item);
 }
 
 void ShardedCacheServer::Delete(uint32_t app_id, const ItemMeta& item) {
-  BeginBatch(ShardForKey(item.key)).Delete(app_id, item);
-}
-
-Outcome ShardedCacheServer::Mutate(uint32_t app_id, MutateOp op,
-                                   const ItemMeta& item) {
-  return BeginBatch(ShardForKey(item.key)).Mutate(app_id, op, item);
+  BeginBatch(ShardForKey(item.key)).server(item.key).Delete(app_id, item);
 }
 
 ValueOutcome ShardedCacheServer::GetValue(uint32_t app_id, uint64_t key,
                                           uint32_t key_size, uint32_t now_s,
                                           uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key))
-      .GetValue(app_id, key, key_size, now_s, flush_at_s);
+  return BeginBatch(ShardForKey(key)).server(key).GetByKey(
+      app_id, key, key_size, now_s, flush_at_s);
 }
 
 ValueOutcome ShardedCacheServer::PeekValue(uint32_t app_id, uint64_t key,
                                            uint32_t now_s,
                                            uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key)).PeekValue(app_id, key, now_s,
-                                                flush_at_s);
+  return BeginBatch(ShardForKey(key)).server(key).PeekByKey(app_id, key,
+                                                            now_s, flush_at_s);
 }
 
 bool ShardedCacheServer::SetValue(uint32_t app_id, const ItemMeta& item,
                                   const void* data, uint32_t flags,
                                   uint64_t cas) {
-  return BeginBatch(ShardForKey(item.key))
-      .SetValue(app_id, item, data, flags, cas);
+  return BeginBatch(ShardForKey(item.key)).server(item.key).SetValue(
+      app_id, item, data, flags, cas);
 }
 
 ReplaceResult ShardedCacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
@@ -161,21 +124,21 @@ ReplaceResult ShardedCacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
                                                const void* data,
                                                uint32_t size, uint64_t cas,
                                                uint32_t now_s) {
-  return BeginBatch(ShardForKey(key))
-      .ReplaceValue(app_id, key, key_size, data, size, cas, now_s);
+  return BeginBatch(ShardForKey(key)).server(key).ReplaceValue(
+      app_id, key, key_size, data, size, cas, now_s);
 }
 
 bool ShardedCacheServer::TouchValue(uint32_t app_id, uint64_t key,
                                     uint32_t key_size, uint32_t expiry_s,
                                     uint32_t now_s, uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key))
-      .TouchValue(app_id, key, key_size, expiry_s, now_s, flush_at_s);
+  return BeginBatch(ShardForKey(key)).server(key).TouchByKey(
+      app_id, key, key_size, expiry_s, now_s, flush_at_s);
 }
 
 bool ShardedCacheServer::DeleteValue(uint32_t app_id, uint64_t key,
                                      uint32_t now_s, uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key)).DeleteValue(app_id, key, now_s,
-                                                  flush_at_s);
+  return BeginBatch(ShardForKey(key)).server(key).DeleteByKey(
+      app_id, key, now_s, flush_at_s);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,149 +148,26 @@ bool ShardedCacheServer::DeleteValue(uint32_t app_id, uint64_t key,
 ShardedCacheServer::ShardBatch::ShardBatch(ShardedCacheServer* owner,
                                            size_t shard_index, bool wait)
     : owner_(owner),
-      shard_(owner->shards_[shard_index].get()),
+      server_(owner->shards_[shard_index]->server.get()),
       shard_index_(shard_index),
-      lock_(shard_->mu, std::defer_lock) {
+      lock_(owner->shards_[shard_index]->mu, std::defer_lock) {
   if (wait) {
     lock_.lock();
-  } else {
-    (void)lock_.try_lock();
+  } else if (!lock_.try_lock()) {
+    return;
   }
+  ops_at_open_ = server_->ops_served();
 }
 
 ShardedCacheServer::ShardBatch::~ShardBatch() {
-  // Release the shard lock, then publish the counter deltas, then advance
-  // the rebalance cadence (which may run Rebalance() — it takes apps_mu_
-  // plus every shard lock, so it must never run while this batch still
-  // holds one). A batch that never got the lock ran no ops.
+  // Release the shard lock, then advance the rebalance cadence (which may
+  // run Rebalance() — it takes apps_mu_ plus every shard lock, so it must
+  // never run while this batch still holds one). A batch that never got
+  // the lock ran no ops.
   if (!lock_.owns_lock()) return;
+  const uint64_t ops_at_close = server_->ops_served();
   lock_.unlock();
-  owner_->PublishDelta(*shard_, delta_);
-  owner_->BumpOpCount(*shard_, ops_);
-}
-
-Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
-                                            const ItemMeta& item) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(item.key) == shard_index_);
-  const Outcome outcome = shard_->server->Get(app_id, item);
-  MirrorGetOutcome(outcome, &delta_);
-  ++ops_;
-  return outcome;
-}
-
-bool ShardedCacheServer::ShardBatch::Set(uint32_t app_id,
-                                         const ItemMeta& item) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(item.key) == shard_index_);
-  const bool counted = shard_->server->Set(app_id, item);
-  if (counted) ++delta_.sets;
-  ++ops_;
-  return counted;
-}
-
-bool ShardedCacheServer::ShardBatch::Touch(uint32_t app_id,
-                                           const ItemMeta& item) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(item.key) == shard_index_);
-  const bool resident = shard_->server->Touch(app_id, item);
-  ++ops_;
-  return resident;
-}
-
-void ShardedCacheServer::ShardBatch::Delete(uint32_t app_id,
-                                            const ItemMeta& item) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(item.key) == shard_index_);
-  shard_->server->Delete(app_id, item);
-  ++ops_;
-}
-
-Outcome ShardedCacheServer::ShardBatch::Mutate(uint32_t app_id, MutateOp op,
-                                               const ItemMeta& item) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(item.key) == shard_index_);
-  // The shard's own Mutate decides every outcome (an unknown app reads as
-  // uncacheable for each op, exactly as on a bare CacheServer); only an
-  // admitted fill is a counted Set to mirror.
-  const Outcome outcome = shard_->server->Mutate(app_id, op, item);
-  if (op == MutateOp::kFill && outcome.cacheable) ++delta_.sets;
-  ++ops_;
-  return outcome;
-}
-
-ValueOutcome ShardedCacheServer::ShardBatch::GetValue(
-    uint32_t app_id, uint64_t key, uint32_t key_size, uint32_t now_s,
-    uint32_t flush_at_s, ValueLease* lease) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(key) == shard_index_);
-  const ValueOutcome vo = shard_->server->GetByKey(app_id, key, key_size,
-                                                   now_s, flush_at_s, lease);
-  MirrorGetOutcome(vo.outcome, &delta_);
-  ++ops_;
-  return vo;
-}
-
-ValueOutcome ShardedCacheServer::ShardBatch::PeekValue(uint32_t app_id,
-                                                       uint64_t key,
-                                                       uint32_t now_s,
-                                                       uint32_t flush_at_s) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(key) == shard_index_);
-  const ValueOutcome vo =
-      shard_->server->PeekByKey(app_id, key, now_s, flush_at_s);
-  ++ops_;
-  return vo;
-}
-
-bool ShardedCacheServer::ShardBatch::SetValue(uint32_t app_id,
-                                              const ItemMeta& item,
-                                              const void* data,
-                                              uint32_t flags, uint64_t cas) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(item.key) == shard_index_);
-  const bool counted =
-      shard_->server->SetValue(app_id, item, data, flags, cas);
-  if (counted) ++delta_.sets;
-  ++ops_;
-  return counted;
-}
-
-ReplaceResult ShardedCacheServer::ShardBatch::ReplaceValue(
-    uint32_t app_id, uint64_t key, uint32_t key_size, const void* data,
-    uint32_t size, uint64_t cas, uint32_t now_s) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(key) == shard_index_);
-  const ReplaceResult result = shard_->server->ReplaceValue(
-      app_id, key, key_size, data, size, cas, now_s);
-  if (result == ReplaceResult::kReSlabbed) ++delta_.sets;
-  ++ops_;
-  return result;
-}
-
-bool ShardedCacheServer::ShardBatch::TouchValue(uint32_t app_id, uint64_t key,
-                                                uint32_t key_size,
-                                                uint32_t expiry_s,
-                                                uint32_t now_s,
-                                                uint32_t flush_at_s) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(key) == shard_index_);
-  const bool resident = shard_->server->TouchByKey(app_id, key, key_size,
-                                                   expiry_s, now_s,
-                                                   flush_at_s);
-  ++ops_;
-  return resident;
-}
-
-bool ShardedCacheServer::ShardBatch::DeleteValue(uint32_t app_id,
-                                                 uint64_t key, uint32_t now_s,
-                                                 uint32_t flush_at_s) {
-  assert(lock_.owns_lock());
-  assert(owner_->ShardForKey(key) == shard_index_);
-  const bool was_valid =
-      shard_->server->DeleteByKey(app_id, key, now_s, flush_at_s);
-  ++ops_;
-  return was_valid;
+  owner_->AdvanceRebalanceCadence(ops_at_open_, ops_at_close);
 }
 
 void ShardedCacheServer::ShardBatch::ReturnLease(const ValueLease& lease) {
@@ -345,12 +185,6 @@ ShardedCacheServer::ShardBatch ShardedCacheServer::TryBeginBatch(
     size_t shard_index) {
   assert(shard_index < num_shards_);
   return ShardBatch(this, shard_index, /*wait=*/false);
-}
-
-ClassStats ShardedCacheServer::TotalStats() const {
-  ClassStats total;
-  for (const auto& shard : shards_) total += shard->CounterSnapshot();
-  return total;
 }
 
 std::vector<std::unique_lock<std::mutex>> ShardedCacheServer::LockAllShards()
@@ -437,35 +271,16 @@ uint64_t ShardedCacheServer::rebalance_count() const {
   return rebalances_.load(std::memory_order_relaxed);
 }
 
-// Counted on the shard's own padded line so the hot path never contends on
-// a process-global counter; the busiest shard drives the cadence. For a
-// batch of n ops the trigger fires when the count crosses an interval
-// boundary — for n == 1 that reduces to the classic "every interval-th op"
+// The shard's CacheServer counts every verb it serves, under the shard
+// lock, so the busiest shard drives the cadence without a shared counter
+// line. A batch's ops fire a rebalance when they cross an interval boundary
+// of that count; for one op this is the classic "every interval-th op"
 // modulo check, so batched and unbatched traffic share one cadence.
-void ShardedCacheServer::BumpOpCount(Shard& shard, uint64_t n) {
+void ShardedCacheServer::AdvanceRebalanceCadence(uint64_t ops_before,
+                                                 uint64_t ops_after) {
   const uint64_t interval = config_.rebalance_interval_ops;
-  if (interval == 0 || n == 0) return;
-  const uint64_t prev = shard.ops.fetch_add(n, std::memory_order_relaxed);
-  if ((prev + n) / interval != prev / interval) {
-    Rebalance();
-  }
-}
-
-void ShardedCacheServer::PublishDelta(Shard& shard, const ClassStats& delta) {
-  if (delta.gets) shard.gets.fetch_add(delta.gets, std::memory_order_relaxed);
-  if (delta.hits) shard.hits.fetch_add(delta.hits, std::memory_order_relaxed);
-  if (delta.sets) shard.sets.fetch_add(delta.sets, std::memory_order_relaxed);
-  if (delta.tail_hits) {
-    shard.tail_hits.fetch_add(delta.tail_hits, std::memory_order_relaxed);
-  }
-  if (delta.cliff_shadow_hits) {
-    shard.cliff_shadow_hits.fetch_add(delta.cliff_shadow_hits,
-                                      std::memory_order_relaxed);
-  }
-  if (delta.hill_shadow_hits) {
-    shard.hill_shadow_hits.fetch_add(delta.hill_shadow_hits,
-                                     std::memory_order_relaxed);
-  }
+  if (interval == 0) return;
+  if (ops_after / interval != ops_before / interval) Rebalance();
 }
 
 void ShardedCacheServer::Rebalance() {
@@ -534,7 +349,7 @@ bool ShardedCacheServer::CheckInvariants() const {
 // Each shard's hill-shadow hits since the last rebalance estimate how much
 // that shard's slice of the app would gain from more memory (§3.4: the
 // shadow hit rate approximates the request-weighted hit-rate-curve
-// gradient). The app's total moves a `rebalance_step` fraction toward the
+// gradient). The app's total moves a kRebalanceStep fraction toward the
 // shadow-share target; with no signal anywhere the +1 smoothing makes the
 // target an even split, so a skewed initial division decays geometrically.
 void ShardedCacheServer::RebalanceAppLocked(uint32_t app_id,
@@ -559,12 +374,11 @@ void ShardedCacheServer::RebalanceAppLocked(uint32_t app_id,
 
   // Blend toward the shadow-share target, then integerize with the
   // largest-remainder method so the shares sum to the total exactly.
-  const double step = std::clamp(config_.rebalance_step, 0.0, 1.0);
   const double total = static_cast<double>(total_reservation);
   std::vector<double> desired(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    desired[i] = (1.0 - step) * static_cast<double>(current[i]) +
-                 step * total * (weight[i] / weight_sum);
+    desired[i] = (1.0 - kRebalanceStep) * static_cast<double>(current[i]) +
+                 kRebalanceStep * total * (weight[i] / weight_sum);
   }
   std::vector<uint64_t> next(n, 0);
   std::vector<std::pair<double, size_t>> fractions;

@@ -3,33 +3,41 @@
 // §4.3 controller state (hill climber, cliff scalers) for its slice of every
 // application's key space, behind one per-shard mutex, so the paper's
 // incremental algorithms keep running unmodified under concurrent traffic.
+// The front serializes access to a shard and does nothing else per op: the
+// verbs, their statistics and the controllers all live in the shard's
+// CacheServer.
 //
 // Concurrency model:
-//  - A ShardBatch (BeginBatch) holds one shard's lock across a burst of
-//    operations on that shard, amortizing the acquisition. The routed
-//    verbs (Get/Set/...) are each a one-op ShardBatch on the shard the key
-//    hashes to, so both paths share one locking and counting discipline.
-//    Ops on different shards act on disjoint cache state and same-key ops
-//    always hash to the same shard, so a caller that groups its ops by
-//    ShardForKey (stream order kept within a shard) and opens one batch
-//    per shard gets the same cache state as routing them one at a time,
-//    whatever order it visits the shards in. TryBeginBatch lets such a
-//    caller visit the shards whose locks are free first; CacheAdapter
-//    does, so under contention the order in which one of its bursts
-//    reaches different shards (and draws CAS values there) follows lock
-//    availability.
-//  - Aggregate statistics are mirrored into per-shard cache-line-padded
-//    atomic counters, so TotalStats() is a lock-free read; MergedStats()
-//    and the per-app accessors take every shard lock (in index order) for
-//    an exact, mutually consistent snapshot.
+//  - A ShardBatch (BeginBatch) is a locked handle to one shard's
+//    CacheServer: it holds the shard's lock from construction to
+//    destruction, and server(key) hands out the shard's CacheServer for a
+//    key that hashes to it, so a burst of operations on that shard pays for
+//    one acquisition. The routed verbs (Get/Set/...) are each a one-op
+//    batch on the shard the key hashes to, so both paths share one locking
+//    discipline and one rebalance cadence. Ops on different shards act on
+//    disjoint cache state and same-key ops always hash to the same shard,
+//    so a caller that groups its ops by ShardForKey (stream order kept
+//    within a shard) and opens one batch per shard gets the same cache
+//    state as routing them one at a time, whatever order it visits the
+//    shards in. TryBeginBatch lets such a caller visit the shards whose
+//    locks are free first; CacheAdapter does, so under contention the
+//    order in which one of its bursts reaches different shards (and draws
+//    CAS values there) follows lock availability.
+//  - Statistics have one set of books: each shard's CacheServer counts its
+//    own, under its lock. MergedStats() and the per-app accessors take
+//    every shard lock (in index order) for an exact, mutually consistent
+//    snapshot; ShardStats() takes one.
 //  - An application's reservation is split across shards (largest-remainder,
 //    so the split always sums to the registered total). A periodic rebalance
 //    re-divides each app's total in proportion to the shards' hill-shadow
 //    hit rates — the same signal Algorithm 1 uses — so static hash
 //    partitioning cannot starve a shard that would profit from more memory.
+//    Its cadence counts the routed-verb calls each shard's CacheServer
+//    served (CacheServer::ops_served), published when a batch ends.
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -47,20 +55,13 @@ struct ShardedServerConfig {
   // hashing the shard index into `server.seed`.
   ServerConfig server;
   size_t num_shards = 4;
-  // A rebalance triggers whenever any single shard has processed this many
+  // A rebalance triggers whenever any single shard has served this many
   // operations since its last trigger (counted per shard so the hot path
   // never touches a shared counter line). 0 = only explicit Rebalance().
   uint64_t rebalance_interval_ops = 0;
-  // Fraction of the gap between a shard's current reservation and its
-  // shadow-signal target that one rebalance closes. Small steps keep the
-  // split stable against noisy shadow hits (same spirit as §5.1).
-  double rebalance_step = 0.25;
 };
 
 class ShardedCacheServer {
- private:
-  struct Shard;  // declared up front: the public ShardBatch refers to it
-
  public:
   explicit ShardedCacheServer(const ShardedServerConfig& config);
   ~ShardedCacheServer();
@@ -83,26 +84,25 @@ class ShardedCacheServer {
   // Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
 
-  // Thread-safe routed operations, each BeginBatch(ShardForKey(key)) plus
-  // the same-named ShardBatch verb. Like CacheServer's, they soft-fail on
-  // an unknown app. Set returns true when the item was cacheable (same as
-  // CacheServer::Set). Touch refreshes expiry + recency of a resident item
-  // (no statistics mutation); Mutate is the op-based surface
-  // (kFill/kTouch/kErase, see cache/types.h) for callers carrying an op
-  // stream, with CacheServer::Mutate's outcomes.
+  // Thread-safe routed operations: each runs the CacheServer verb of the
+  // same meaning on the shard the key hashes to, as a one-op ShardBatch.
+  // Like CacheServer's, they soft-fail on an unknown app. Set returns true
+  // when the item was cacheable (same as CacheServer::Set). Touch refreshes
+  // expiry + recency of a resident item (no statistics mutation).
   Outcome Get(uint32_t app_id, const ItemMeta& item);
   bool Set(uint32_t app_id, const ItemMeta& item);
   bool Touch(uint32_t app_id, const ItemMeta& item);
   void Delete(uint32_t app_id, const ItemMeta& item);
-  Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
 
-  // Value-mode routed verbs (ServerConfig::store_values; see the AppCache
-  // declarations for semantics). NOTE on GetValue/PeekValue lifetimes: the
-  // returned ValueOutcome::view borrows arena memory guarded by the shard
-  // lock — with the routed verbs the lock is already released on return, so
-  // the view is only safe if no other thread can mutate the shard. Callers
-  // needing a stable span across concurrent traffic take a lease through
-  // ShardBatch::GetValue and return it with ShardBatch::ReturnLease.
+  // Value-mode routed verbs (ServerConfig::store_values): GetValue is
+  // CacheServer::GetByKey, PeekValue PeekByKey, TouchValue TouchByKey and
+  // DeleteValue DeleteByKey (see the AppCache declarations for semantics).
+  // NOTE on GetValue/PeekValue lifetimes: the returned ValueOutcome::view
+  // borrows arena memory guarded by the shard lock — with the routed verbs
+  // the lock is already released on return, so the view is only safe if no
+  // other thread can mutate the shard. Callers needing a stable span across
+  // concurrent traffic take a lease through a ShardBatch's GetByKey and
+  // return it with ShardBatch::ReturnLease.
   ValueOutcome GetValue(uint32_t app_id, uint64_t key, uint32_t key_size,
                         uint32_t now_s, uint32_t flush_at_s);
   ValueOutcome PeekValue(uint32_t app_id, uint64_t key, uint32_t now_s,
@@ -117,57 +117,52 @@ class ShardedCacheServer {
   bool DeleteValue(uint32_t app_id, uint64_t key, uint32_t now_s,
                    uint32_t flush_at_s);
 
-  // Holds one shard's lock for a burst of operations, so a caller that has
-  // already grouped its ops by shard pays one lock acquisition per burst
-  // instead of one per op. Every key passed to a batch method MUST hash to
-  // the batch's shard (asserted in debug builds). Statistics mirroring and
-  // the rebalance cadence are deferred to the destructor, which releases
-  // the shard lock, then publishes the accumulated deltas, then may fire
-  // Rebalance().
+  // A locked handle to one shard's CacheServer: it holds the shard's lock
+  // until it dies, so a caller that has already grouped its ops by shard
+  // pays one lock acquisition per burst instead of one per op. The
+  // destructor releases the lock, then advances the rebalance cadence by
+  // the ops the shard served meanwhile, which may fire Rebalance().
   class ShardBatch {
    public:
     ~ShardBatch();
     ShardBatch(const ShardBatch&) = delete;
     ShardBatch& operator=(const ShardBatch&) = delete;
 
-    // The verbs behind the routed ones above (same semantics); Mutate
-    // forwards to CacheServer::Mutate.
-    Outcome Get(uint32_t app_id, const ItemMeta& item);
-    bool Set(uint32_t app_id, const ItemMeta& item);
-    bool Touch(uint32_t app_id, const ItemMeta& item);
-    void Delete(uint32_t app_id, const ItemMeta& item);
-    Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
-
-    // Value-mode batch verbs. A ValueOutcome::view returned here stays
-    // valid while this batch holds the shard lock and makes no further
-    // mutating call. With `lease`, a GetValue hit also leases its slot:
-    // the view then stays valid after the batch dies — through overwrites,
-    // rewrites, evictions and deletes of the key on any thread — until the
-    // lease is handed to ReturnLease on a later batch of the same shard.
-    // That is how the network front writes GET hits straight from the
-    // arena without holding the shard lock across the socket write.
-    ValueOutcome GetValue(uint32_t app_id, uint64_t key, uint32_t key_size,
-                          uint32_t now_s, uint32_t flush_at_s,
-                          ValueLease* lease = nullptr);
-    ValueOutcome PeekValue(uint32_t app_id, uint64_t key, uint32_t now_s,
-                           uint32_t flush_at_s);
-    bool SetValue(uint32_t app_id, const ItemMeta& item, const void* data,
-                  uint32_t flags, uint64_t cas);
-    ReplaceResult ReplaceValue(uint32_t app_id, uint64_t key,
-                               uint32_t key_size, const void* data,
-                               uint32_t size, uint64_t cas, uint32_t now_s);
-    bool TouchValue(uint32_t app_id, uint64_t key, uint32_t key_size,
-                    uint32_t expiry_s, uint32_t now_s, uint32_t flush_at_s);
-    bool DeleteValue(uint32_t app_id, uint64_t key, uint32_t now_s,
-                     uint32_t flush_at_s);
-    // Returns a lease GetValue took on this shard; a slot retired while
+    // The shard's CacheServer, for a key that hashes to this shard (both
+    // the lock and the key's shard are asserted in debug builds); run its
+    // verbs on it directly. A ValueOutcome::view they return stays valid
+    // while this batch holds the lock and makes no further mutating call.
+    // With a `lease`, a GetByKey hit stays valid after the batch dies —
+    // through overwrites, rewrites, evictions and deletes of the key on any
+    // thread — until the lease is handed to ReturnLease on a later batch of
+    // the same shard. That is how the network front writes GET hits
+    // straight from the arena without holding the shard lock across the
+    // socket write.
+    [[nodiscard]] CacheServer& server(uint64_t key) {
+      assert(lock_.owns_lock());
+      assert(owner_->ShardForKey(key) == shard_index_);
+      (void)key;
+      return *server_;
+    }
+    // Returns a lease a GetByKey took on this shard; a slot retired while
     // leased goes back on its free-list with its last lease. Not an op:
-    // no statistics, no rebalance cadence.
+    // it does not advance the rebalance cadence.
     void ReturnLease(const ValueLease& lease);
+
+    // server(key).GetByKey and server(key).SetValue under the names
+    // perfbench/src/ledger.cc calls.
+    ValueOutcome GetValue(uint32_t app_id, uint64_t key, uint32_t key_size,
+                          uint32_t now_s, uint32_t flush_at_s) {
+      return server(key).GetByKey(app_id, key, key_size, now_s, flush_at_s);
+    }
+    bool SetValue(uint32_t app_id, const ItemMeta& item, const void* data,
+                  uint32_t flags, uint64_t cas) {
+      return server(item.key).SetValue(app_id, item, data, flags, cas);
+    }
 
     [[nodiscard]] size_t shard_index() const { return shard_index_; }
     // False only for a TryBeginBatch that found the shard busy: such a
-    // batch holds nothing, takes no ops, and dies without publishing.
+    // batch holds nothing, takes no ops, and dies without effect.
     [[nodiscard]] bool owns_lock() const { return lock_.owns_lock(); }
 
    private:
@@ -176,11 +171,10 @@ class ShardedCacheServer {
     ShardBatch(ShardedCacheServer* owner, size_t shard_index, bool wait);
 
     ShardedCacheServer* owner_;
-    Shard* shard_;
+    CacheServer* server_;
     size_t shard_index_;
     std::unique_lock<std::mutex> lock_;
-    ClassStats delta_;   // counter mirror, published on destruction
-    uint64_t ops_ = 0;   // rebalance-cadence contribution
+    uint64_t ops_at_open_ = 0;  // server_->ops_served() once locked
   };
 
   // Opens a batch on one shard (locks it until the ShardBatch dies).
@@ -197,20 +191,11 @@ class ShardedCacheServer {
   }
   [[nodiscard]] const ShardedServerConfig& config() const { return config_; }
 
-  // Lock-free aggregate snapshot from the padded per-shard counters. Exact
-  // once writers are quiescent; during traffic it may trail in-flight
-  // operations by a few counts (each op updates its counters after
-  // releasing the shard lock).
-  [[nodiscard]] ClassStats TotalStats() const;
   // Exact snapshots straight from the shards' own statistics. MergedStats
   // holds every shard lock at once, so the merge is mutually consistent.
   [[nodiscard]] ClassStats MergedStats() const;
   [[nodiscard]] ClassStats ShardStats(size_t shard) const;
 
-  // Per-app views. AppStats holds every shard lock for a consistent
-  // cross-shard sum; AppReservation is the registered total (O(1), no
-  // shard locks — rebalancing conserves it by construction);
-  // AppShardReservation reads one shard's current share.
   // Real value-memory occupancy summed across every shard and app, taken
   // under all shard locks for a mutually consistent snapshot (the `stats`
   // command's `bytes` / `stats slabs` surface). Empty when the shards were
@@ -229,6 +214,10 @@ class ShardedCacheServer {
   };
   [[nodiscard]] ValueStats MergedValueStats() const;
 
+  // Per-app views. AppStats holds every shard lock for a consistent
+  // cross-shard sum; AppReservation is the registered total (O(1), no
+  // shard locks — rebalancing conserves it by construction);
+  // AppShardReservation reads one shard's current share.
   [[nodiscard]] ClassStats AppStats(uint32_t app_id) const;
   [[nodiscard]] uint64_t AppReservation(uint32_t app_id) const;
   [[nodiscard]] uint64_t AppShardReservation(uint32_t app_id,
@@ -255,13 +244,13 @@ class ShardedCacheServer {
   [[nodiscard]] bool CheckInvariants() const;
 
  private:
-  // Adds `n` to the shard's op counter and fires Rebalance() when the count
-  // crosses a rebalance_interval_ops boundary (for n == 1 this is exactly
-  // the classic "every interval-th op" trigger).
-  void BumpOpCount(Shard& shard, uint64_t n);
-  // fetch_adds the non-zero fields of `delta` into the shard's lock-free
-  // counter mirror. Call after releasing the shard lock.
-  void PublishDelta(Shard& shard, const ClassStats& delta);
+  struct Shard;
+
+  // Called by ~ShardBatch after it released its shard's lock, with the
+  // shard's ops_served() when the batch took the lock and when it let go:
+  // fires Rebalance() when that span crosses a rebalance_interval_ops
+  // boundary (for one op, the classic "every interval-th op" trigger).
+  void AdvanceRebalanceCadence(uint64_t ops_before, uint64_t ops_after);
   void RebalanceAppLocked(uint32_t app_id, uint64_t total_reservation);
   // Pre: apps_mu_ and every shard lock held. Re-reads each app's live
   // cross-shard reservation sum into app_totals_.

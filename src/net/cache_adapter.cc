@@ -176,21 +176,19 @@ CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
   RoutedKey rk;
   rk.key_id = Fnv1a64(key);
   rk.app_id = config_.default_app_id;
-  if (config_.parse_app_prefix) {
-    uint32_t prefixed = 0;
-    if (ParseAppPrefix(key, &prefixed)) rk.app_id = prefixed;
-  }
+  uint32_t prefixed = 0;
+  if (ParseAppPrefix(key, &prefixed)) rk.app_id = prefixed;
   rk.app_known =
       std::binary_search(app_ids_.begin(), app_ids_.end(), rk.app_id);
   return rk;
 }
 
-void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& batch,
                                 std::string_view key, const RoutedKey& rk,
                                 uint32_t now_s, bool with_cas,
                                 CounterBlock& counts, OpReply* reply) {
   ValueLease lease;
-  const ValueOutcome vo = core.GetValue(
+  const ValueOutcome vo = batch.server(rk.key_id).GetByKey(
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()), now_s,
       FlushAt(), &lease);
   if (vo.flush_reclaimed) {
@@ -211,12 +209,12 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
     }
     if (vo.view.size < kMinBorrowBytes) {
       // Cheaper to copy than to send as another iovec under a lease.
-      core.ReturnLease(lease);
+      batch.ReturnLease(lease);
       reply->text.append(vo.view.data, vo.view.size);
       reply->text.append(kCrlf);
       return;
     }
-    t_borrows.push_back(Borrow{core.shard_index(), lease});
+    t_borrows.push_back(Borrow{batch.shard_index(), lease});
     reply->payload = vo.view.data;
     reply->payload_size = vo.view.size;
     return;
@@ -269,7 +267,7 @@ bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
   }
 }
 
-void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::StoreLocked(CacheServer& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, CounterBlock& counts,
                                std::string* out) {
@@ -283,7 +281,7 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
   if (cmd.type == CommandType::kAdd || cmd.type == CommandType::kReplace ||
       is_cas) {
     const ValueOutcome peek =
-        core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
+        core.PeekByKey(rk.app_id, rk.key_id, now_s, FlushAt());
     if ((cmd.type == CommandType::kAdd && peek.valid) ||
         (cmd.type == CommandType::kReplace && !peek.valid)) {
       Add(counts.store_rejected);
@@ -334,14 +332,14 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
 // and exptime are parsed but ignored (memcached semantics); only existence
 // gates the store, and the result re-slabs through the core when the size
 // leaves the slab class.
-void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::ConcatLocked(CacheServer& core,
                                 const Command& cmd, const RoutedKey& rk,
                                 uint32_t now_s, CounterBlock& counts,
                                 std::string* out) {
   const std::string_view key = cmd.key();
   const auto key_size = static_cast<uint32_t>(key.size());
   const ValueOutcome peek =
-      core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
+      core.PeekByKey(rk.app_id, rk.key_id, now_s, FlushAt());
   if (!peek.valid) {
     Add(counts.store_rejected);
     if (!cmd.noreply) out->append(kNotStoredLine);
@@ -389,7 +387,7 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
-void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::ArithLocked(CacheServer& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, bool increment,
                                CounterBlock& counts, std::string* out) {
@@ -399,7 +397,7 @@ void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
       increment ? counts.incr_misses : counts.decr_misses;
   const std::string_view key = cmd.key();
   const ValueOutcome peek =
-      core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
+      core.PeekByKey(rk.app_id, rk.key_id, now_s, FlushAt());
   if (!peek.valid) {
     Add(misses);
     if (!cmd.noreply) out->append(kNotFoundLine);
@@ -438,7 +436,7 @@ void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) AppendNumericLine(out, result);
 }
 
-void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::TouchLocked(CacheServer& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, CounterBlock& counts,
                                std::string* out) {
@@ -447,7 +445,7 @@ void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
   // statistics move (memcached counts touches separately, and so does the
   // core — not at all). An expired/flushed item touches as NOT_FOUND and
   // is reclaimed on this access.
-  const bool ok = core.TouchValue(
+  const bool ok = core.TouchByKey(
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()),
       AbsoluteExpiry(cmd.exptime, now_s), now_s, FlushAt());
   if (ok) {
@@ -459,7 +457,7 @@ void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
   }
 }
 
-void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::DeleteLocked(CacheServer& core,
                                 const Command& cmd, const RoutedKey& rk,
                                 uint32_t now_s, CounterBlock& counts,
                                 std::string* out) {
@@ -467,7 +465,7 @@ void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
   // (memcached's DELETED/NOT_FOUND split) and erases every trace either
   // way — including shadow state, which must not keep earning credit an
   // explicit delete revoked.
-  const bool valid = core.DeleteValue(rk.app_id, rk.key_id, now_s, FlushAt());
+  const bool valid = core.DeleteByKey(rk.app_id, rk.key_id, now_s, FlushAt());
   if (valid) {
     Add(counts.delete_hits);
     if (!cmd.noreply) out->append(kDeletedLine);
@@ -661,7 +659,7 @@ bool IsShardable(CommandType type) {
 
 }  // namespace
 
-void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
+void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& batch,
                                    const BurstOp& op, CounterBlock& counts,
                                    OpReply* reply) {
   const Command& cmd = *op.cmd;
@@ -669,7 +667,7 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
   switch (cmd.type) {
     case CommandType::kGet:
     case CommandType::kGets:
-      GetKeyLocked(core, cmd.keys[op.key_idx], op.rk, op.now_s,
+      GetKeyLocked(batch, cmd.keys[op.key_idx], op.rk, op.now_s,
                    /*with_cas=*/cmd.type == CommandType::kGets, counts,
                    reply);
       break;
@@ -677,22 +675,26 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
     case CommandType::kAdd:
     case CommandType::kReplace:
     case CommandType::kCas:
-      StoreLocked(core, cmd, op.rk, op.now_s, counts, out);
+      StoreLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
+                  out);
       break;
     case CommandType::kAppend:
     case CommandType::kPrepend:
-      ConcatLocked(core, cmd, op.rk, op.now_s, counts, out);
+      ConcatLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
+                   out);
       break;
     case CommandType::kIncr:
     case CommandType::kDecr:
-      ArithLocked(core, cmd, op.rk, op.now_s,
+      ArithLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s,
                   /*increment=*/cmd.type == CommandType::kIncr, counts, out);
       break;
     case CommandType::kTouch:
-      TouchLocked(core, cmd, op.rk, op.now_s, counts, out);
+      TouchLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
+                  out);
       break;
     case CommandType::kDelete:
-      DeleteLocked(core, cmd, op.rk, op.now_s, counts, out);
+      DeleteLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
+                   out);
       break;
     default:
       break;  // unreachable: only shardable ops are collected
@@ -761,7 +763,7 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
 
   // Execution: one core ShardBatch (shard lock) per shard per run, free
   // shards first, each released as soon as its group ends; ~ShardBatch then
-  // publishes the counter deltas and bumps the rebalance cadence.
+  // advances the rebalance cadence.
   RunGroupsFreeShardsFirst(
       server_, &buckets.groups,
       [&](ShardedCacheServer::ShardBatch& batch, const ShardGroup& group) {

@@ -18,17 +18,18 @@
 //    listen port's tenant). Ops for unregistered apps fail softly (miss /
 //    SERVER_ERROR) rather than mutating anything.
 //  - Presence. add/replace/cas/incr/decr/append/prepend/touch decide
-//    presence from the core directly (PeekValue: resident, unexpired,
+//    presence from the core directly (PeekByKey: resident, unexpired,
 //    unflushed — statistics-neutral). There is no window between an
 //    eviction and the next GET where the adapter believes a dead key is
 //    alive: eviction frees the slot synchronously.
 //  - One execution path. Every get/store/arith/touch/delete runs through
 //    ExecuteShardedRun: a run of such commands is expanded into per-key
 //    ops, grouped by shard in one linear pass (stream order kept within a
-//    shard) and executed under one ShardBatch per shard. HandleBatch feeds
-//    it whole bursts; Handle() is a one-command HandleBatch. Only the
-//    barrier verbs (stats/version/flush_all/quit/protocol errors) have
-//    handlers of their own.
+//    shard) and executed on each shard's CacheServer under one ShardBatch
+//    (the shard's lock) per shard. HandleBatch feeds it whole bursts;
+//    Handle() is a one-command HandleBatch. Only the barrier verbs
+//    (stats/version/flush_all/quit/protocol errors) have handlers of
+//    their own.
 //  - Free shards first. Each shard group first tries its shard's lock
 //    (ShardedCacheServer::TryBeginBatch); a group whose shard another
 //    worker holds is deferred, and the deferred groups wait for their
@@ -53,9 +54,9 @@
 //    burst, leaves straight from the value arena: the response segment's
 //    payload span points at the stored bytes, and the writev/SENDMSG
 //    scatter-gathers from there. The hit takes a borrow lease on its slot
-//    under the shard lock (ShardBatch::GetValue with a lease) and records
-//    it in a thread-local borrow list; each shard lock is released as soon
-//    as its group of ops finishes. Until ReleaseBurstPins() returns the
+//    under the shard lock (GetByKey with a lease, through the ShardBatch)
+//    and records it in a thread-local borrow list; each shard lock is
+//    released as soon as its group of ops finishes. Until ReleaseBurstPins() returns the
 //    leases after the flush, an overwrite, rewrite, eviction or delete of
 //    the key — in the same burst or on another worker — retires the slot
 //    instead of reusing it, so the borrowed bytes stay exactly what the
@@ -124,9 +125,8 @@ inline constexpr int64_t kRelativeExptimeCutoff = 60 * 60 * 24 * 30;
 inline constexpr uint32_t kMinBorrowBytes = 1024;
 
 struct CacheAdapterConfig {
+  // Keys without an "app<digits>:" prefix route to this application.
   uint32_t default_app_id = 1;
-  // Recognize the "app<digits>:" key-namespace prefix for app routing.
-  bool parse_app_prefix = true;
   // Injectable second-resolution clock for expiry/flush determinism under
   // test. Must never report 0 (second 0 means "no expiry evaluation" in
   // the cache layers); the default wall clock cannot. Called outside the
@@ -249,35 +249,35 @@ class CacheAdapter final : public CommandHandler {
                      CounterBlock& counts, std::string* out);
 
   // Locked per-op executors: the memcached semantics of one operation,
-  // expressed over the core value verbs through the ShardBatch that
-  // ExecuteShardedRun holds for rk's shard. Pre for all: rk.app_known
-  // true, CountAndAdmit (or the per-key get admission) already ran, `core`
-  // targets rk's shard.
+  // expressed over the value verbs of rk's shard's CacheServer (`core`),
+  // reached through the ShardBatch that ExecuteShardedRun holds for that
+  // shard. Pre for all: rk.app_known true, CountAndAdmit (or the per-key
+  // get admission) already ran, the batch holds rk's shard.
   //
   // GetKeyLocked serves a hit: the VALUE header goes into reply->text; a
   // payload of kMinBorrowBytes or more is borrowed from the arena under a
   // lease recorded in the thread's borrow list, a smaller one is copied
   // after the header with its CRLF.
-  void GetKeyLocked(ShardedCacheServer::ShardBatch& core,
+  void GetKeyLocked(ShardedCacheServer::ShardBatch& batch,
                     std::string_view key, const RoutedKey& rk,
                     uint32_t now_s, bool with_cas, CounterBlock& counts,
                     OpReply* reply);
-  void StoreLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
+  void StoreLocked(CacheServer& core, const Command& cmd,
                    const RoutedKey& rk, uint32_t now_s, CounterBlock& counts,
                    std::string* out);
-  void ConcatLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
+  void ConcatLocked(CacheServer& core, const Command& cmd,
                     const RoutedKey& rk, uint32_t now_s, CounterBlock& counts,
                     std::string* out);
-  void ArithLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
+  void ArithLocked(CacheServer& core, const Command& cmd,
                    const RoutedKey& rk, uint32_t now_s, bool increment,
                    CounterBlock& counts, std::string* out);
-  void TouchLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
+  void TouchLocked(CacheServer& core, const Command& cmd,
                    const RoutedKey& rk, uint32_t now_s, CounterBlock& counts,
                    std::string* out);
-  void DeleteLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
+  void DeleteLocked(CacheServer& core, const Command& cmd,
                     const RoutedKey& rk, uint32_t now_s, CounterBlock& counts,
                     std::string* out);
-  void ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
+  void ExecuteOpLocked(ShardedCacheServer::ShardBatch& batch,
                        const BurstOp& op, CounterBlock& counts,
                        OpReply* reply);
   // The burst engine: expands a run of shardable commands into per-key ops

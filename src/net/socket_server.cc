@@ -345,24 +345,6 @@ size_t SocketServer::CollectBurst(Connection* conn,
   return frames;
 }
 
-bool SocketServer::FlushWrites(Connection* conn) {
-  while (conn->wr_offset < conn->wr.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->wr.data() + conn->wr_offset,
-               conn->wr.size() - conn->wr_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->wr_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // peer gone
-  }
-  conn->wr.clear();
-  conn->wr_offset = 0;
-  return true;
-}
-
 bool SocketServer::FlushSegments(Connection* conn,
                                  const std::vector<ResponseSegment>& segments,
                                  size_t count) {
@@ -472,7 +454,7 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
     }
   }
   // Push out any bytes a previous wakeup left queued before generating more.
-  if (alive && !conn->wr.empty()) alive = FlushWrites(conn);
+  if (alive && !conn->wr.empty()) alive = FlushSegments(conn, *segments, 0);
   // Burst cycle: parse a burst, hand it to the handler as one batch (one
   // shard-lock acquisition per shard per burst downstream), writev the
   // response segments, repeat until the buffered frames are gone or write

@@ -208,14 +208,13 @@ class SocketServer {
   // the desired event set differs from what is currently armed.
   static void UpdateEpollInterest(Worker* worker, Connection* conn,
                                   uint32_t desired);
-  // Non-blocking flush of the write buffer. Returns false on a dead socket.
-  static bool FlushWrites(Connection* conn);
   // Non-blocking writev of the queued write buffer plus the first `count`
   // response segments (each up to three iovecs: text, borrowed payload,
-  // trailer), scatter-gather, no concatenation. Empty segments are skipped.
-  // Unsent bytes — including borrowed payload bytes, which must not be
-  // referenced after this call — spill into the write buffer. Returns
-  // false on a dead socket.
+  // trailer), scatter-gather, no concatenation. Empty segments are skipped;
+  // with `count` 0 this flushes the write buffer alone. Unsent bytes —
+  // including borrowed payload bytes, which must not be referenced after
+  // this call — spill into (or stay in) the write buffer. Returns false on
+  // a dead socket.
   static bool FlushSegments(Connection* conn,
                             const std::vector<ResponseSegment>& segments,
                             size_t count);

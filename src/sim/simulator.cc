@@ -88,7 +88,7 @@ SimResult Replay(CacheServer& server, const Trace& trace,
       case Op::kTouch:
         // Expiry refresh + recency bump, no get/set statistics (see
         // CacheServer::Touch).
-        server.Mutate(r.app_id, MutateOp::kTouch, meta);
+        server.Touch(r.app_id, meta);
         break;
       case Op::kIncr:
       case Op::kDecr: {
@@ -97,7 +97,7 @@ SimResult Replay(CacheServer& server, const Trace& trace,
         // stamping the row's (usually 0) expiry would silently clear it.
         ItemMeta keep = meta;
         keep.expiry_s = kKeepExpiry;
-        server.Mutate(r.app_id, MutateOp::kTouch, keep);
+        server.Touch(r.app_id, keep);
         break;
       }
       case Op::kDelete:

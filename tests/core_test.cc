@@ -583,10 +583,11 @@ TEST(CacheServer, ShadowOverheadStaysUnderPaperBound) {
 // A value-mode GET hit can lose its slot inside the access that found it:
 // a cliff-scaler step that collapses the partition empties the right
 // queue, the hit key possibly with it. GetByKey must then serve nothing
-// rather than the slot it found before the probe. The scaler here splits
-// and collapses readily (a scan mixed with a hot set, no hill climbing to
-// move the capacity), so such hits happen; every served hit must be the
-// resident value.
+// rather than the slot it found before the probe, and count a miss. The
+// scaler here splits and collapses readily (a scan mixed with a hot set,
+// no hill climbing to move the capacity), so such hits happen; every
+// served hit must be the resident value, and the statistics must count
+// exactly the hits served.
 TEST(CacheServer, ValueHitWhoseSlotTheScalerDropsIsNotServed) {
   ServerConfig config;
   config.allocation = AllocationMode::kCliffhanger;
@@ -606,6 +607,8 @@ TEST(CacheServer, ValueHitWhoseSlotTheScalerDropsIsNotServed) {
   for (uint64_t i = 0; i < 400000; ++i) {
     const uint64_t key =
         i % 2 == 0 ? 100000 + (i / 2) % 6000 : rng.NextBounded(2000);
+    // Peeks move no statistics and no recency.
+    const bool resident = server.PeekByKey(1, key, kNow, 0).valid;
     const ValueOutcome vo = server.GetByKey(1, key, 14, kNow, 0);
     const ValueOutcome peek = server.PeekByKey(1, key, kNow, 0);
     if (vo.valid) {
@@ -615,9 +618,11 @@ TEST(CacheServer, ValueHitWhoseSlotTheScalerDropsIsNotServed) {
       ASSERT_EQ(std::string(vo.view.data, vo.view.size), value_of(key));
       continue;
     }
-    if (vo.outcome.hit) {
+    if (resident) {
+      // Resident before the GET, so the queue hit it; the access lost it.
       ++dropped;
       ASSERT_FALSE(peek.valid);
+      ASSERT_FALSE(vo.outcome.hit);
     }
     const std::string value = value_of(key);
     ItemMeta item = Item(key, static_cast<uint32_t>(value.size()));
@@ -626,6 +631,9 @@ TEST(CacheServer, ValueHitWhoseSlotTheScalerDropsIsNotServed) {
   }
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(served, 0u);
+  const ClassStats stats = server.TotalStats();
+  EXPECT_EQ(stats.gets, 400000u);
+  EXPECT_EQ(stats.hits, served);
   EXPECT_TRUE(server.CheckInvariants());
 }
 

@@ -1952,12 +1952,18 @@ TEST_F(AdapterShardLocks, ABusyShardDoesNotStallTheRestOfTheBurst) {
   // is large enough to be borrowed.
   std::string text;
   std::string multiget = "get";
+  uint64_t all_bytes = 0;
+  uint64_t free_shard_bytes = 0;
   for (size_t k = 0; k < keys.size(); ++k) {
     const std::string value(k % 2 == 0 ? 100 : 1500,
                             static_cast<char>('a' + k % 26));
     text += "set " + keys[k] + " 0 0 " + std::to_string(value.size()) +
             "\r\n" + value + "\r\n";
     multiget += " " + keys[k];
+    all_bytes += value.size();
+    if (server_.ShardForKey(Fnv1a64(keys[k])) != 0) {
+      free_shard_bytes += value.size();
+    }
   }
   text += multiget + "\r\n";
 
@@ -1965,10 +1971,10 @@ TEST_F(AdapterShardLocks, ABusyShardDoesNotStallTheRestOfTheBurst) {
   Burst(adapter, text, &uncontended);
   ASSERT_NE(uncontended.find("VALUE"), std::string::npos);
 
-  // Each op on a free shard is a counted SET or GET once its group's batch
-  // is released.
-  const ClassStats before = server_.TotalStats();
-  const uint64_t free_shard_ops = 2 * kKeysPerShard * (per_shard.size() - 1);
+  // Each op on a free shard shows in the adapter's counters as it runs: a
+  // SET adds its value's bytes to bytes_read, a GET hit counts in get_hits.
+  const net::CacheAdapter::Counters before = adapter.counters();
+  const uint64_t free_shard_gets = kKeysPerShard * (per_shard.size() - 1);
   std::atomic<bool> done{false};
   std::string contended;
   std::thread worker;
@@ -1980,23 +1986,29 @@ TEST_F(AdapterShardLocks, ABusyShardDoesNotStallTheRestOfTheBurst) {
     });
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    uint64_t served = 0;
+    uint64_t gets_served = 0;
+    uint64_t bytes_stored = 0;
     while (std::chrono::steady_clock::now() < deadline) {
-      const ClassStats now = server_.TotalStats();
-      served = (now.sets - before.sets) + (now.gets - before.gets);
-      if (served >= free_shard_ops) break;
+      const net::CacheAdapter::Counters now = adapter.counters();
+      gets_served = now.get_hits - before.get_hits;
+      bytes_stored = now.bytes_read - before.bytes_read;
+      if (gets_served >= free_shard_gets && bytes_stored >= free_shard_bytes) {
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    EXPECT_EQ(served, free_shard_ops)
+    EXPECT_EQ(gets_served, free_shard_gets)
+        << "the free shards waited behind the held one";
+    EXPECT_EQ(bytes_stored, free_shard_bytes)
         << "the free shards waited behind the held one";
     EXPECT_FALSE(done.load()) << "the burst finished without shard 0";
   }  // releases shard 0
   worker.join();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(contended, uncontended);
-  const ClassStats after = server_.TotalStats();
-  EXPECT_EQ((after.sets - before.sets) + (after.gets - before.gets),
-            2 * keys.size());
+  const net::CacheAdapter::Counters after = adapter.counters();
+  EXPECT_EQ(after.get_hits - before.get_hits, keys.size());
+  EXPECT_EQ(after.bytes_read - before.bytes_read, all_bytes);
   EXPECT_EQ(server_.MergedValueStats().leases, 0u);
   EXPECT_TRUE(server_.CheckInvariants());
 }

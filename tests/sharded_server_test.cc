@@ -3,8 +3,8 @@
 // the `concurrency` ctest label), then the test asserts the invariants that
 // concurrency must not break:
 //   - every cacheable operation is counted exactly once (no lost updates),
-//   - the lock-free TotalStats equals the exact MergedStats equals the sum
-//     of the per-shard snapshots,
+//   - the merged snapshot equals the sum of the per-shard and of the
+//     per-app snapshots,
 //   - every app's reservation stays conserved across shards even while the
 //     shadow-signal rebalancer is re-dividing it.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -129,15 +130,14 @@ TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
     issued.gets += tally.gets;
     issued.sets += tally.sets;
   }
-  const ClassStats total = server.TotalStats();
+  const ClassStats total = server.MergedStats();
   EXPECT_EQ(total.gets, issued.gets);
   EXPECT_EQ(total.sets, issued.sets);
   EXPECT_GT(total.hits, 0u);
   EXPECT_LT(total.hits, total.gets);
 
-  // The lock-free counters, the exact merged snapshot, the per-shard sums
-  // and the per-app sums all agree once writers are quiescent.
-  ExpectStatsEqual(total, server.MergedStats(), "total vs merged");
+  // The merged snapshot, the per-shard sums and the per-app sums all agree
+  // once writers are quiescent.
   ClassStats per_shard_sum;
   for (size_t i = 0; i < server.num_shards(); ++i) {
     per_shard_sum += server.ShardStats(i);
@@ -157,12 +157,9 @@ TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
   EXPECT_EQ(SumShardReservations(server, kAppB), kReservationB);
 }
 
-// Readers taking lock-free and locking snapshots race the writers; under
-// ThreadSanitizer this validates the snapshot paths, and the monotonicity
-// of the lock-free gets counter is asserted directly. (No cross-counter
-// assertion: the mirror counters are independent relaxed atomics, so a
-// reader on weakly-ordered hardware may see hits/gets increments of one
-// operation in either order.)
+// Readers taking snapshots race the writers; under ThreadSanitizer this
+// validates the snapshot paths, and the monotonicity of the merged gets
+// count and the consistency of each merged snapshot are asserted directly.
 TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
   constexpr size_t kWriters = 2;
   constexpr size_t kOpsPerThread = 15000;
@@ -177,13 +174,13 @@ TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
   std::thread reader([&] {
     uint64_t last_gets = 0;
     while (!done.load(std::memory_order_acquire)) {
-      const ClassStats total = server.TotalStats();
-      if (total.gets < last_gets) {
+      const ClassStats total = server.MergedStats();
+      if (total.gets < last_gets || total.hits > total.gets) {
         failed.store(true);
         break;
       }
       last_gets = total.gets;
-      (void)server.MergedStats();
+      (void)server.ShardStats(0);
       (void)server.AppReservation(kAppA);
       (void)server.rebalance_count();
     }
@@ -235,17 +232,90 @@ TEST(ShardedServerTest, ManualRebalanceConservesAndEvens) {
   }
 }
 
+// The rebalance cadence counts every verb a shard's CacheServer serves,
+// whatever the verb: with an interval of N, one batch of N - 1 ops that
+// covers every value verb (a soft-failed one included; a lease return is
+// no op) fires no rebalance, and one more op fires exactly one.
+TEST(ShardedServerTest, RebalanceCadenceCountsEveryValueVerb) {
+  constexpr uint64_t kInterval = 12;
+  ShardedServerConfig config =
+      HammerConfig(/*num_shards=*/2, /*rebalance_interval=*/kInterval);
+  config.server.store_values = true;
+  ShardedCacheServer server(config);
+  server.AddApp(kAppA, kReservationA);
+
+  // Three keys of shard 0, so one batch serves them all.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < 3; ++k) {
+    if (server.ShardForKey(k) == 0) keys.push_back(k);
+  }
+  constexpr uint32_t kKeySize = 16;
+  constexpr uint32_t kNow = 1;
+  const std::string value(100, 'v');
+  const std::string rewrite(100, 'w');
+  const auto item_of = [&](uint64_t key) {
+    ItemMeta item{key, kKeySize, static_cast<uint32_t>(value.size())};
+    item.now_s = kNow;
+    return item;
+  };
+  {
+    ShardedCacheServer::ShardBatch batch = server.BeginBatch(0);
+    CacheServer& shard = batch.server(keys[0]);
+    // 11 ops.
+    ASSERT_TRUE(shard.SetValue(kAppA, item_of(keys[0]), value.data(), 0, 1));
+    ASSERT_TRUE(shard.SetValue(kAppA, item_of(keys[1]), value.data(), 0, 2));
+    ValueLease lease;
+    ASSERT_TRUE(
+        shard.GetByKey(kAppA, keys[0], kKeySize, kNow, 0, &lease).valid);
+    batch.ReturnLease(lease);
+    EXPECT_TRUE(shard.GetByKey(kAppA, keys[1], kKeySize, kNow, 0).valid);
+    EXPECT_FALSE(shard.GetByKey(kAppA, keys[2], kKeySize, kNow, 0).valid);
+    EXPECT_TRUE(shard.PeekByKey(kAppA, keys[0], kNow, 0).valid);
+    EXPECT_EQ(shard.ReplaceValue(kAppA, keys[0], kKeySize, rewrite.data(),
+                                 static_cast<uint32_t>(rewrite.size()), 3,
+                                 kNow),
+              ReplaceResult::kInPlace);
+    EXPECT_TRUE(shard.TouchByKey(kAppA, keys[1], kKeySize, 0, kNow, 0));
+    EXPECT_TRUE(shard.DeleteByKey(kAppA, keys[1], kNow, 0));
+    EXPECT_FALSE(shard.DeleteByKey(kAppA, keys[2], kNow, 0));
+    EXPECT_FALSE(shard.GetByKey(kAppB, keys[0], kKeySize, kNow, 0).valid);
+  }
+  EXPECT_EQ(server.rebalance_count(), 0u);
+
+  const ValueOutcome last = server.GetValue(kAppA, keys[0], kKeySize, kNow, 0);
+  EXPECT_TRUE(last.valid);
+  EXPECT_EQ(server.rebalance_count(), 1u);
+}
+
 // --- Batch API equivalence -------------------------------------------------
 
 struct GetOp {
   uint32_t app_id;
   ItemMeta item;
 };
+enum class MutationKind { kSet, kTouch, kDelete };
 struct MutationOp {
   uint32_t app_id;
-  MutateOp op;
+  MutationKind kind;
   ItemMeta item;
 };
+
+// Runs `op` through `server`'s verb of that kind (CacheServer and
+// ShardedCacheServer name them alike). Returns what Set or Touch returned;
+// false for a Delete.
+template <typename Server>
+bool Apply(Server& server, const MutationOp& op) {
+  switch (op.kind) {
+    case MutationKind::kSet:
+      return server.Set(op.app_id, op.item);
+    case MutationKind::kTouch:
+      return server.Touch(op.app_id, op.item);
+    case MutationKind::kDelete:
+      server.Delete(op.app_id, op.item);
+      return false;
+  }
+  return false;
+}
 
 // Groups a burst the way CacheAdapter::HandleBatch and the layer ledger do:
 // a stable sort of the op indexes by ShardForKey, then one BeginBatch per
@@ -272,13 +342,13 @@ void RunShardGrouped(ShardedCacheServer& server, const std::vector<Op>& ops,
 }
 
 // Two identical servers replay the same scripted op stream, one through the
-// scalar Get/Mutate calls and one shard-grouped through ShardBatch in bursts
-// of awkward sizes. Batching groups ops by shard but must change nothing
-// observable: every per-op Outcome, and the counters at every aggregation
-// level, must be bit-identical. Rebalance is off because the batched path
-// intentionally defers the op-count bump to burst end; with a nonzero
-// interval the rebalance would land mid-burst on one side and post-burst on
-// the other.
+// routed Get/Set/Touch/Delete and one shard-grouped through ShardBatch in
+// bursts of awkward sizes. Batching groups ops by shard but must change
+// nothing observable: every per-op result, and the counters at every
+// aggregation level, must be bit-identical. Rebalance is off because the
+// batched path intentionally defers the cadence to burst end; with a
+// nonzero interval the rebalance would land mid-burst on one side and
+// post-burst on the other.
 TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
   const ShardedServerConfig config =
       HammerConfig(/*num_shards=*/4, /*rebalance_interval=*/0);
@@ -307,35 +377,31 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
       const ItemMeta item = MakeItem(zipf.Sample(rng));
       if (mutate_round) {
         const uint64_t pick = rng.NextBounded(10);
-        const MutateOp op = pick < 7   ? MutateOp::kFill
-                            : pick < 9 ? MutateOp::kTouch
-                                       : MutateOp::kErase;
-        mutations.push_back({app, op, item});
+        const MutationKind kind = pick < 7   ? MutationKind::kSet
+                                  : pick < 9 ? MutationKind::kTouch
+                                             : MutationKind::kDelete;
+        mutations.push_back({app, kind, item});
       } else {
         gets.push_back({app, item});
       }
     }
     if (mutate_round) {
-      std::vector<Outcome> batch_out(mutations.size());
+      std::vector<char> batch_out(mutations.size());
       RunShardGrouped(batched, mutations,
                       [&](ShardedCacheServer::ShardBatch& batch, size_t i) {
-                        batch_out[i] = batch.Mutate(mutations[i].app_id,
-                                                    mutations[i].op,
-                                                    mutations[i].item);
+                        batch_out[i] = Apply(
+                            batch.server(mutations[i].item.key), mutations[i]);
                       });
       for (size_t i = 0; i < mutations.size(); ++i) {
-        const Outcome seq_out = sequential.Mutate(
-            mutations[i].app_id, mutations[i].op, mutations[i].item);
-        EXPECT_EQ(batch_out[i].hit, seq_out.hit) << "round " << round;
-        EXPECT_EQ(batch_out[i].cacheable, seq_out.cacheable)
+        EXPECT_EQ(batch_out[i] != 0, Apply(sequential, mutations[i]))
             << "round " << round;
-        EXPECT_EQ(batch_out[i].region, seq_out.region) << "round " << round;
       }
     } else {
       std::vector<Outcome> batch_out(gets.size());
       RunShardGrouped(batched, gets,
                       [&](ShardedCacheServer::ShardBatch& batch, size_t i) {
-                        batch_out[i] = batch.Get(gets[i].app_id, gets[i].item);
+                        batch_out[i] = batch.server(gets[i].item.key)
+                                           .Get(gets[i].app_id, gets[i].item);
                       });
       for (size_t i = 0; i < gets.size(); ++i) {
         const Outcome seq_out = sequential.Get(gets[i].app_id, gets[i].item);
@@ -363,8 +429,8 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
 
 // Concurrent batch hammer: several threads push overlapping batches at one
 // server (the TSan job sanitizes this via the `concurrency` label). The
-// per-burst counter deltas published at batch end must not lose updates:
-// the exact MergedStats tally has to equal the sum of what threads issued.
+// shards' statistics must not lose updates: the exact MergedStats tally has
+// to equal the sum of what threads issued.
 TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
   ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
                                          /*rebalance_interval=*/2048));
@@ -393,22 +459,21 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
         }
         RunShardGrouped(server, gets,
                         [&](ShardedCacheServer::ShardBatch& batch, size_t i) {
-                          outcomes[i] = batch.Get(gets[i].app_id,
-                                                  gets[i].item);
+                          outcomes[i] = batch.server(gets[i].item.key)
+                                            .Get(gets[i].app_id, gets[i].item);
                         });
         local_gets += gets.size();
-        // Demand-fill the misses through the mutation batch.
+        // Demand-fill the misses through a second round of batches.
         fills.clear();
         for (size_t i = 0; i < gets.size(); ++i) {
           if (!outcomes[i].hit) {
-            fills.push_back({gets[i].app_id, MutateOp::kFill, gets[i].item});
+            fills.push_back(
+                {gets[i].app_id, MutationKind::kSet, gets[i].item});
           }
         }
         RunShardGrouped(server, fills,
                         [&](ShardedCacheServer::ShardBatch& batch, size_t i) {
-                          outcomes[i] = batch.Mutate(fills[i].app_id,
-                                                     fills[i].op,
-                                                     fills[i].item);
+                          Apply(batch.server(fills[i].item.key), fills[i]);
                         });
       }
       issued_gets.fetch_add(local_gets);
@@ -426,8 +491,9 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
 // all shard locks per wave) while workers hammer the whole id space —
 // including ids mid-removal and ids never added, which must soft-fail.
 // Afterwards every queue/arena invariant must hold, each surviving
-// tenant's shards must still sum to its registered reservation, and the
-// server-wide total must match the arithmetic of the churn.
+// tenant's shards must still sum to its registered reservation, the
+// server-wide total must match the arithmetic of the churn, and each
+// survivor must have counted exactly the GETs that reached it.
 TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
   constexpr size_t kThreads = 3;
   constexpr size_t kOpsPerThread = 20000;
@@ -447,6 +513,12 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
   }
 
   const ZipfTable zipf(20000, 0.9);
+  constexpr uint32_t kIdSpace = kInitialApps + kWaves + 4;
+  // Per worker, per app id: GETs that reached a registered app (their
+  // outcome is cacheable) and their hits.
+  std::vector<std::vector<uint64_t>> gets(
+      kThreads, std::vector<uint64_t>(kIdSpace + 1, 0));
+  std::vector<std::vector<uint64_t>> hits = gets;
   std::atomic<size_t> running{kThreads};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -454,11 +526,15 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
     workers.emplace_back([&, t] {
       Rng rng(0xC0FFEE00ULL + t);
       for (size_t i = 0; i < kOpsPerThread; ++i) {
-        const auto app_id = static_cast<uint32_t>(
-            1 + rng.NextBounded(kInitialApps + kWaves + 4));
+        const auto app_id =
+            static_cast<uint32_t>(1 + rng.NextBounded(kIdSpace));
         const ItemMeta item =
             MakeItem(HashCombine(app_id, zipf.Sample(rng)));
         const Outcome outcome = server.Get(app_id, item);
+        if (outcome.cacheable) {
+          ++gets[t][app_id];
+          if (outcome.hit) ++hits[t][app_id];
+        }
         if (!outcome.hit && outcome.cacheable) server.Set(app_id, item);
       }
       running.fetch_sub(1, std::memory_order_release);
@@ -492,11 +568,24 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
     EXPECT_EQ(server.AppReservation(id), reservation_for(id));
     EXPECT_EQ(SumShardReservations(server, id), reservation_for(id));
   }
-  // Ops that raced a removal soft-failed before being counted, so the
-  // counters still describe a consistent workload.
-  const ClassStats total = server.TotalStats();
-  EXPECT_GT(total.hits, 0u);
-  EXPECT_LE(total.hits, total.gets);
+  // Ops that raced a registration or a removal soft-failed uncounted, so
+  // each survivor's statistics are exactly the GETs that reached it.
+  uint64_t all_hits = 0;
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const uint64_t h : hits[t]) all_hits += h;
+  }
+  EXPECT_GT(all_hits, 0u);
+  for (const uint32_t id : live) {
+    uint64_t app_gets = 0;
+    uint64_t app_hits = 0;
+    for (size_t t = 0; t < kThreads; ++t) {
+      app_gets += gets[t][id];
+      app_hits += hits[t][id];
+    }
+    const ClassStats stats = server.AppStats(id);
+    EXPECT_EQ(stats.gets, app_gets) << "app " << id;
+    EXPECT_EQ(stats.hits, app_hits) << "app " << id;
+  }
 }
 
 }  // namespace

@@ -95,13 +95,13 @@ TEST(TenantLifecycle, RoutedVerbsSoftFailOnUnknownApp) {
   EXPECT_FALSE(server.Set(1, Item(7)));
   EXPECT_FALSE(server.Touch(1, Item(7)));
   server.Delete(1, Item(7));  // no-op, must not crash
-  EXPECT_FALSE(server.Mutate(1, MutateOp::kTouch, Item(7)).hit);
 }
 
-TEST(TenantLifecycle, MutateOnUnknownAppAgreesAcrossLayers) {
+TEST(TenantLifecycle, VerbsOnUnknownAppAgreeAcrossLayers) {
   // An op racing a RemoveApp may land on a bare CacheServer, a routed
-  // ShardedCacheServer verb or an open ShardBatch; all three must read it
-  // the same way — an uncacheable miss that counts nothing — for every op.
+  // ShardedCacheServer verb or an open ShardBatch's CacheServer; all three
+  // must read it the same way: an uncacheable miss, a refused store, an
+  // absent touch target.
   CacheServer bare(CrossAppConfig());
   ShardedServerConfig sharded_config;
   sharded_config.server = CrossAppConfig();
@@ -113,27 +113,34 @@ TEST(TenantLifecycle, MutateOnUnknownAppAgreesAcrossLayers) {
   sharded.RemoveApp(1);
 
   const ItemMeta item = Item(7);
-  for (const MutateOp op :
-       {MutateOp::kFill, MutateOp::kTouch, MutateOp::kErase}) {
-    const Outcome expected = bare.Mutate(1, op, item);
-    EXPECT_FALSE(expected.cacheable) << static_cast<int>(op);
-    EXPECT_FALSE(expected.hit) << static_cast<int>(op);
-    const Outcome routed = sharded.Mutate(1, op, item);
-    Outcome batched;
-    {
-      ShardedCacheServer::ShardBatch batch =
-          sharded.BeginBatch(sharded.ShardForKey(item.key));
-      batched = batch.Mutate(1, op, item);
-    }
-    for (const Outcome& got : {routed, batched}) {
-      EXPECT_EQ(got.cacheable, expected.cacheable) << static_cast<int>(op);
-      EXPECT_EQ(got.hit, expected.hit) << static_cast<int>(op);
-      EXPECT_EQ(got.region, expected.region) << static_cast<int>(op);
-      EXPECT_EQ(got.slab_class, expected.slab_class) << static_cast<int>(op);
-      EXPECT_EQ(got.expired, expected.expired) << static_cast<int>(op);
-    }
+  const Outcome expected = bare.Get(1, item);
+  EXPECT_FALSE(expected.cacheable);
+  EXPECT_FALSE(expected.hit);
+  EXPECT_FALSE(bare.Set(1, item));
+  EXPECT_FALSE(bare.Touch(1, item));
+  bare.Delete(1, item);
+
+  const Outcome routed = sharded.Get(1, item);
+  EXPECT_FALSE(sharded.Set(1, item));
+  EXPECT_FALSE(sharded.Touch(1, item));
+  sharded.Delete(1, item);
+  Outcome batched;
+  {
+    ShardedCacheServer::ShardBatch batch =
+        sharded.BeginBatch(sharded.ShardForKey(item.key));
+    CacheServer& shard = batch.server(item.key);
+    batched = shard.Get(1, item);
+    EXPECT_FALSE(shard.Set(1, item));
+    EXPECT_FALSE(shard.Touch(1, item));
+    shard.Delete(1, item);
   }
-  EXPECT_EQ(sharded.TotalStats().sets, 0u);
+  for (const Outcome& got : {routed, batched}) {
+    EXPECT_EQ(got.cacheable, expected.cacheable);
+    EXPECT_EQ(got.hit, expected.hit);
+    EXPECT_EQ(got.region, expected.region);
+    EXPECT_EQ(got.slab_class, expected.slab_class);
+    EXPECT_EQ(got.expired, expected.expired);
+  }
   EXPECT_TRUE(sharded.CheckInvariants());
 }
 

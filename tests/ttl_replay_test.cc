@@ -111,13 +111,13 @@ void ReplayLikeSimulator(Server& server, const Trace& trace) {
         server.Set(r.app_id, meta);
         break;
       case Op::kTouch:
-        server.Mutate(r.app_id, MutateOp::kTouch, meta);
+        server.Touch(r.app_id, meta);
         break;
       case Op::kIncr:
       case Op::kDecr: {
         ItemMeta keep = meta;
         keep.expiry_s = kKeepExpiry;
-        server.Mutate(r.app_id, MutateOp::kTouch, keep);
+        server.Touch(r.app_id, keep);
         break;
       }
       case Op::kDelete:
