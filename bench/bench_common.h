@@ -1,6 +1,6 @@
 // Shared helpers for the experiment drivers (one binary per paper table or
 // figure). Trace lengths are chosen so every driver completes in well under
-// a minute; EXPERIMENTS.md records the paper-vs-measured comparison.
+// a minute.
 #pragma once
 
 #include <cstdint>

@@ -32,6 +32,7 @@
 #include "core/sharded_server.h"
 #include "net/ascii_protocol.h"
 #include "net/cache_adapter.h"
+#include "net/socket_server.h"
 #include "sim/experiment.h"
 #include "workload/facebook_workload.h"
 #include "workload/generators.h"
@@ -216,7 +217,7 @@ Row RunSharded(const Trace& trace, bool cliffhanger, size_t threads,
 // --- Part 3: the same replay through the network adapter's burst path ---
 
 constexpr size_t kAdapterShards = 4;
-constexpr size_t kBurstCommands = 64;  // SocketServerConfig::max_burst_frames
+constexpr size_t kBurstCommands = net::kMaxBurstFrames;
 // Each thread runs its share of the replay this many times, so a row at the
 // CI size (100000 requests) lasts long enough to time.
 constexpr size_t kAdapterPasses = 8;

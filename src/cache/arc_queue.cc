@@ -65,6 +65,7 @@ GetResult ArcQueue::Get(const ItemMeta& item) {
       // eviction history, and promotion out of a ghost re-stamps it.
       Remove(found);
       found = FlatIndex::kNotFound;
+      result.expired = true;
     }
   }
   const List in = found == FlatIndex::kNotFound

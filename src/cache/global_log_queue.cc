@@ -29,6 +29,7 @@ GetResult GlobalLogQueue::Get(const ItemMeta& item) {
   if (h != SegmentedLru::kNoHandle) {
     if (lru_.HandleExpired(h, item.now_s)) {
       lru_.EraseHandle(h);  // lazy expiration, same as the slab queues
+      result.expired = true;
       return result;
     }
     lru_.Promote(h, 0);

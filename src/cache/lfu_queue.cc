@@ -60,6 +60,7 @@ GetResult LfuQueue::Get(const ItemMeta& item) {
       // Lazy expiration: frequency history dies with the item, exactly as
       // if it had been evicted — a refill starts back at frequency 1.
       Delete(item.key);
+      result.expired = true;
       return result;
     }
     Bump(idx);

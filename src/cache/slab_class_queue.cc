@@ -104,13 +104,11 @@ GetResult SlabClassQueue::Get(const ItemMeta& item) {
     case kMid:
       result.hit = true;
       result.region = HitRegion::kPhysical;
-      result.expiry_s = lru_.HandleExpiry(h);
       lru_.Promote(h, kHead);
       break;
     case kTail:
       result.hit = true;
       result.region = HitRegion::kPhysicalTail;
-      result.expiry_s = lru_.HandleExpiry(h);
       lru_.Promote(h, kHead);
       break;
     case kCliffShadow:

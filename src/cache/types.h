@@ -32,12 +32,6 @@ struct GetResult {
   // front count expiry-misses separately (memcached's get_expired) without
   // keeping its own expiry records.
   bool expired = false;
-  // On a slab-class queue hit (SlabClassQueue, PartitionedSlabQueue: the
-  // queues value mode runs on), the item's stored absolute expiry (0 =
-  // never), read from the node the lookup already holds, so a caller
-  // serving the item needs no second probe for it. The other queues leave
-  // it 0.
-  uint32_t expiry_s = 0;
 };
 
 // Insertion discipline for the physical queue.
@@ -76,18 +70,6 @@ struct ItemMeta {
 // it. Protocol exptime normalization never produces this value
 // (net::AbsoluteExpiry clamps below it), so it is unambiguous.
 inline constexpr uint32_t kKeepExpiry = UINT32_MAX;
-
-// Full memcached item metadata as the upper layers carry it: the opaque
-// client flags, the absolute expiry and the compare-and-swap version. The
-// cache queues store only expiry_s (the piece eviction semantics depend
-// on); flags and cas ride in the value slot's header when the server runs
-// with in-arena value storage (ServerConfig::store_values — see
-// cache/value_store.h and util/value_arena.h).
-struct ItemAttrs {
-  uint32_t flags = 0;
-  uint32_t expiry_s = 0;  // absolute; 0 = never
-  uint64_t cas = 0;       // monotonically assigned per store
-};
 
 // Minimal queue interface shared by the slab-class queue and the
 // alternative eviction schemes (ARC, LFU) so the server and the benches can

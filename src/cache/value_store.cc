@@ -125,7 +125,6 @@ void ValueStore::FillView(const Ref& ref, ValueView* view) const {
   view->size = h->value_size;
   view->flags = h->flags;
   view->cas = h->cas;
-  view->stored_s = h->stored_s;
 }
 
 void ValueStore::OnValueDrop(uint64_t key) {

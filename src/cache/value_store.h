@@ -43,8 +43,6 @@ struct ValueView {
   uint32_t size = 0;
   uint32_t flags = 0;
   uint64_t cas = 0;
-  uint32_t stored_s = 0;  // store second, compared against the flush point
-  uint32_t expiry_s = 0;  // absolute expiry (from the queue node); 0 = never
 };
 
 // One borrow of a stored value's slot (ValueStore::Lease): while it is
@@ -107,7 +105,6 @@ class ValueStore final : public SegmentedLru::Listener {
   [[nodiscard]] uint64_t leases() const;
 
   [[nodiscard]] const ValueArena::SlotHeader& Header(const Ref& ref) const;
-  // Fills everything except expiry_s (the queue node owns expiry).
   void FillView(const Ref& ref, ValueView* view) const;
 
   // SegmentedLru::Listener — fired by the class queues mid-eviction.

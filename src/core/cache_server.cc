@@ -174,26 +174,16 @@ void AppCache::EnsureCapacityFor(ClassEntry& entry, uint64_t needed_bytes) {
   }
 }
 
-Outcome AppCache::Get(const ItemMeta& item) {
-  Outcome outcome;
-  if (config_.eviction == EvictionScheme::kGlobalLog) {
-    auto& entry = GetOrCreateEntry(0);
-    ++entry.stats.gets;
-    const GetResult r = entry.queue->Get(item);
-    entry.stats.hits += r.hit ? 1 : 0;
-    outcome.hit = r.hit;
-    outcome.slab_class = 0;
-    outcome.region = r.region;
-    return outcome;
-  }
-
-  const int slab_class =
-      SlabClassFor(ExactFootprint(item.key_size, item.value_size));
-  return GetAtClass(slab_class, item);
+int AppCache::ClassFor(const ItemMeta& item) const {
+  if (config_.eviction == EvictionScheme::kGlobalLog) return 0;
+  return SlabClassFor(ExactFootprint(item.key_size, item.value_size));
 }
 
-Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item,
-                             uint32_t* hit_expiry_s) {
+Outcome AppCache::Get(const ItemMeta& item) {
+  return GetAtClass(ClassFor(item), item);
+}
+
+Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item) {
   Outcome outcome;
   outcome.slab_class = slab_class;
   if (slab_class < 0) {
@@ -215,7 +205,6 @@ Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item,
   if (r.hit) {
     ++entry.stats.hits;
     if (r.region == HitRegion::kPhysicalTail) ++entry.stats.tail_hits;
-    if (hit_expiry_s != nullptr) *hit_expiry_s = r.expiry_s;
   } else if (r.region == HitRegion::kCliffShadow) {
     ++entry.stats.cliff_shadow_hits;
   } else if (r.region == HitRegion::kHillShadow) {
@@ -254,14 +243,7 @@ double AppCache::HillGradientWeight(const ClassEntry& entry) const {
 }
 
 bool AppCache::Set(const ItemMeta& item) {
-  if (config_.eviction == EvictionScheme::kGlobalLog) {
-    auto& entry = GetOrCreateEntry(0);
-    ++entry.stats.sets;
-    entry.queue->Fill(item);
-    return true;
-  }
-  const int slab_class =
-      SlabClassFor(ExactFootprint(item.key_size, item.value_size));
+  const int slab_class = ClassFor(item);
   if (slab_class < 0) return false;  // uncacheable
   auto& entry = GetOrCreateEntry(slab_class);
   ++entry.stats.sets;
@@ -271,11 +253,7 @@ bool AppCache::Set(const ItemMeta& item) {
 }
 
 bool AppCache::Touch(const ItemMeta& item) {
-  if (config_.eviction == EvictionScheme::kGlobalLog) {
-    return GetOrCreateEntry(0).queue->Touch(item);
-  }
-  const int slab_class =
-      SlabClassFor(ExactFootprint(item.key_size, item.value_size));
+  const int slab_class = ClassFor(item);
   if (slab_class < 0) return false;
   // Like Delete, never materializes a class: touching an absent key must
   // not allocate queue state.
@@ -284,12 +262,7 @@ bool AppCache::Touch(const ItemMeta& item) {
 }
 
 void AppCache::Delete(const ItemMeta& item) {
-  if (config_.eviction == EvictionScheme::kGlobalLog) {
-    GetOrCreateEntry(0).queue->Delete(item.key);
-    return;
-  }
-  const int slab_class =
-      SlabClassFor(ExactFootprint(item.key_size, item.value_size));
+  const int slab_class = ClassFor(item);
   if (slab_class < 0) return;
   const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
   if (entry != nullptr) entry->queue->Delete(item.key);
@@ -301,6 +274,24 @@ PartitionedSlabQueue* AppCache::PartitionedFor(int slab_class) const {
   assert(slab_class >= 0 && slab_class < kMaxSlabClasses);
   const ClassEntry* entry = classes_[static_cast<size_t>(slab_class)].get();
   return entry == nullptr ? nullptr : entry->partitioned;
+}
+
+AppCache::Liveness AppCache::LivenessOf(uint64_t key,
+                                        const ValueStore::Ref& ref,
+                                        uint32_t now_s,
+                                        uint32_t flush_at_s) const {
+  if (!ref.has_slot()) return Liveness::kAbsent;  // unknown or shadow-only
+  const PartitionedSlabQueue* q = PartitionedFor(ref.slab_class);
+  uint32_t expiry_s = 0;
+  if (q == nullptr || !q->PeekPhysical(key, &expiry_s)) {
+    return Liveness::kAbsent;
+  }
+  if (ExpiredAt(expiry_s, now_s)) return Liveness::kExpired;
+  if (flush_at_s != 0 && now_s >= flush_at_s &&
+      value_store_->Header(ref).stored_s < flush_at_s) {
+    return Liveness::kFlushed;
+  }
+  return Liveness::kLive;
 }
 
 void AppCache::RegisterStoredValue(uint64_t key, int slab_class,
@@ -328,29 +319,20 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
   assert(value_store_);
   ValueOutcome vo;
   const ValueStore::Ref ref = value_store_->Find(key);
-  // Unknown keys probe the class a zero-byte value of this key would land
-  // in — the smallest class that fits the key itself.
-  const int slab_class = ref.found
-                             ? ref.slab_class
-                             : SlabClassFor(ExactFootprint(key_size, 0));
 
   // flush_all enforcement happens before the counted probe, and reclaims
   // without statistics: the old adapter's flush reclamation was likewise
-  // invisible to the core. Entries that are ALSO past their own expiry are
-  // left for the counted lazy-expiry path below so get_expired stays
-  // truthful.
-  if (ref.has_slot() && flush_at_s != 0 && now_s >= flush_at_s) {
-    PartitionedSlabQueue* q = PartitionedFor(ref.slab_class);
-    uint32_t expiry_s = 0;
-    if (q != nullptr && q->PeekPhysical(key, &expiry_s) &&
-        !ExpiredAt(expiry_s, now_s) &&
-        value_store_->Header(ref).stored_s < flush_at_s) {
-      q->Delete(key);  // the listener frees the slot and forgets the key
-      vo.flush_reclaimed = true;
-      vo.outcome.slab_class = ref.slab_class;
-      vo.outcome.cacheable = false;
-      return vo;
-    }
+  // invisible to the core. Entries that are ALSO past their own expiry read
+  // as expired, so the counted lazy-expiry path below takes them and
+  // get_expired stays truthful.
+  if (flush_at_s != 0 && now_s >= flush_at_s &&
+      LivenessOf(key, ref, now_s, flush_at_s) == Liveness::kFlushed) {
+    // The listener frees the slot and forgets the key.
+    PartitionedFor(ref.slab_class)->Delete(key);
+    vo.flush_reclaimed = true;
+    vo.outcome.slab_class = ref.slab_class;
+    vo.outcome.cacheable = false;
+    return vo;
   }
 
   ItemMeta item;
@@ -358,9 +340,11 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
   item.key_size = key_size;
   item.value_size = 0;
   item.now_s = now_s;
+  // Unknown keys probe the class a zero-byte value of this key would land
+  // in — the smallest class that fits the key itself.
+  const int slab_class = ref.found ? ref.slab_class : ClassFor(item);
   const uint64_t mutations = value_store_->mutations();
-  uint32_t expiry_s = 0;
-  vo.outcome = GetAtClass(slab_class, item, &expiry_s);
+  vo.outcome = GetAtClass(slab_class, item);
   vo.expired = vo.outcome.expired;
   if (!vo.outcome.hit) return vo;
   // Residency invariant: a queue hit implies a live slot (shadow entries
@@ -385,7 +369,6 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
     return vo;
   }
   value_store_->FillView(hit_ref, &vo.view);
-  vo.view.expiry_s = expiry_s;
   vo.valid = true;
   if (lease != nullptr) *lease = value_store_->Lease(hit_ref);
   return vo;
@@ -396,33 +379,30 @@ ValueOutcome AppCache::PeekByKey(uint64_t key, uint32_t now_s,
   assert(value_store_);
   ValueOutcome vo;
   const ValueStore::Ref ref = value_store_->Find(key);
-  if (!ref.has_slot()) return vo;  // absent or shadow-only: nothing resident
-  PartitionedSlabQueue* q = PartitionedFor(ref.slab_class);
-  uint32_t expiry_s = 0;
-  if (q == nullptr || !q->PeekPhysical(key, &expiry_s)) return vo;
-  if (ExpiredAt(expiry_s, now_s)) {
-    q->Delete(key);
-    vo.expired = true;
-    return vo;
+  switch (LivenessOf(key, ref, now_s, flush_at_s)) {
+    case Liveness::kAbsent:
+      break;
+    case Liveness::kExpired:
+      PartitionedFor(ref.slab_class)->Delete(key);
+      vo.expired = true;
+      break;
+    case Liveness::kFlushed:
+      PartitionedFor(ref.slab_class)->Delete(key);
+      vo.flush_reclaimed = true;
+      break;
+    case Liveness::kLive:
+      value_store_->FillView(ref, &vo.view);
+      vo.valid = true;
+      vo.outcome.slab_class = ref.slab_class;
+      break;
   }
-  if (flush_at_s != 0 && now_s >= flush_at_s &&
-      value_store_->Header(ref).stored_s < flush_at_s) {
-    q->Delete(key);
-    vo.flush_reclaimed = true;
-    return vo;
-  }
-  value_store_->FillView(ref, &vo.view);
-  vo.view.expiry_s = expiry_s;
-  vo.valid = true;
-  vo.outcome.slab_class = ref.slab_class;
   return vo;
 }
 
 bool AppCache::SetValue(const ItemMeta& item, const void* data,
                         uint32_t flags, uint64_t cas) {
   assert(value_store_);
-  const int new_class =
-      SlabClassFor(ExactFootprint(item.key_size, item.value_size));
+  const int new_class = ClassFor(item);
   const ValueStore::Ref old = value_store_->Find(item.key);
   if (new_class < 0) {
     // Too large for any class: memcached drops the old incarnation
@@ -499,23 +479,18 @@ bool AppCache::TouchByKey(uint64_t key, uint32_t key_size, uint32_t expiry_s,
                           uint32_t now_s, uint32_t flush_at_s) {
   assert(value_store_);
   const ValueStore::Ref ref = value_store_->Find(key);
-  if (!ref.has_slot()) return false;
-  PartitionedSlabQueue* q = PartitionedFor(ref.slab_class);
-  uint32_t stored_expiry_s = 0;
-  if (q == nullptr || !q->PeekPhysical(key, &stored_expiry_s)) return false;
-  if (ExpiredAt(stored_expiry_s, now_s)) {
-    q->Delete(key);
-    return false;
-  }
-  const ValueArena::SlotHeader& h = value_store_->Header(ref);
-  if (flush_at_s != 0 && now_s >= flush_at_s && h.stored_s < flush_at_s) {
-    q->Delete(key);
+  const Liveness liveness = LivenessOf(key, ref, now_s, flush_at_s);
+  if (liveness != Liveness::kLive) {
+    // Lazy reclamation, as PeekByKey does it.
+    if (liveness != Liveness::kAbsent) {
+      PartitionedFor(ref.slab_class)->Delete(key);
+    }
     return false;
   }
   ItemMeta item;
   item.key = key;
   item.key_size = key_size;
-  item.value_size = h.value_size;
+  item.value_size = value_store_->Header(ref).value_size;
   item.expiry_s = expiry_s;
   item.now_s = now_s;
   return Touch(item);
@@ -528,16 +503,9 @@ bool AppCache::DeleteByKey(uint64_t key, uint32_t now_s,
   // No index entry means no queue state either (every Fill registers), so
   // an unknown key is a pure no-op.
   if (!ref.found) return false;
+  const bool valid =
+      LivenessOf(key, ref, now_s, flush_at_s) == Liveness::kLive;
   PartitionedSlabQueue* q = PartitionedFor(ref.slab_class);
-  bool valid = false;
-  if (ref.has_slot() && q != nullptr) {
-    uint32_t expiry_s = 0;
-    if (q->PeekPhysical(key, &expiry_s) && !ExpiredAt(expiry_s, now_s)) {
-      const uint32_t stored_s = value_store_->Header(ref).stored_s;
-      valid =
-          flush_at_s == 0 || now_s < flush_at_s || stored_s >= flush_at_s;
-    }
-  }
   if (q != nullptr) q->Delete(key);  // physical or shadow; listener cleans up
   return valid;
 }

@@ -227,18 +227,31 @@ class AppCache {
   struct ClassEntry;
   class ClassAdapter;
 
+  // What a value-mode verb finds under a key: no resident value (unknown,
+  // shadow-only, or no physical queue node), or a resident value that is
+  // live, past its expiry at now_s, or stored before a flush point that
+  // has passed. An entry both expired and flushed reads kExpired, so its
+  // reclamation counts as an expiry.
+  enum class Liveness : uint8_t { kAbsent, kLive, kExpired, kFlushed };
+
   ClassEntry& GetOrCreateEntry(int slab_class);
+  // The class an item's verbs run in: 0 under kGlobalLog (one log holds
+  // the app), the slab class of the item's footprint otherwise (-1 when no
+  // class fits).
+  [[nodiscard]] int ClassFor(const ItemMeta& item) const;
   void EnsureCapacityFor(ClassEntry& entry, uint64_t needed_bytes);
   void ShrinkProportionally(uint64_t deficit);
   // The counted probe body shared by Get() and GetByKey(): statistics,
   // shadow signals, climber/scaler feedback — everything after the slab
-  // class is known. On a hit, *hit_expiry_s (when given) receives the
-  // queue's GetResult::expiry_s. Declared inline deliberately: letting the
-  // optimizer outline this (both callers live in cache_server.cc) costs
-  // ~10% on the GET-hit microbenchmark, which the bench-regression gate
-  // treats as real.
-  inline Outcome GetAtClass(int slab_class, const ItemMeta& item,
-                            uint32_t* hit_expiry_s = nullptr);
+  // class is known. Declared inline deliberately: letting the optimizer
+  // outline this (both callers live in cache_server.cc) costs ~10% on the
+  // GET-hit microbenchmark, which the bench-regression gate treats as real.
+  inline Outcome GetAtClass(int slab_class, const ItemMeta& item);
+  // The one liveness rule of the value-mode verbs (see Liveness), for the
+  // key's Ref as ValueStore::Find returned it. Reads only: the caller
+  // reclaims a kExpired or kFlushed entry.
+  [[nodiscard]] Liveness LivenessOf(uint64_t key, const ValueStore::Ref& ref,
+                                    uint32_t now_s, uint32_t flush_at_s) const;
   // Cliff-aware gradient weight for a hill-shadow hit in `entry` (cross-app
   // climbing only): 1.0 off-cliff; on a cliff the hull slope the scaler is
   // actually serving is steeper than the raw shadow sample, by roughly the

@@ -5,6 +5,32 @@
 
 namespace cliffhanger {
 
+namespace {
+
+// Sanity cap on the right pointer, as a multiple of the operating point.
+constexpr double kMaxRightMultiple = 16.0;
+
+// Noise control. On a concave curve the paper argues the pointers "will not
+// move from their starting points"; under stochastic hit arrivals they in
+// fact random-walk a few credits around the operating point, and Algorithm
+// 3's ratio dr/(dr+dl) amplifies that noise into violent partition swings
+// (each swing flushes physical items into the shadows). We therefore treat
+// the queue as sitting on a cliff only when BOTH pointer distances exceed
+// the enter threshold (with hysteresis via the exit threshold), and we
+// apply a staged resize only when it moves a partition by at least
+// max(credit, capacity * kMinResizeFraction) items.
+// Thresholds are the max of a credit count and a fraction of the queue: the
+// credit floor matters for small queues, the fraction for large ones (a
+// 4-credit excursion on a 12k-item queue is ~1% — pure noise, while a
+// genuine cliff pulls a pointer tens of percent away).
+constexpr double kEnterCliffCredits = 4.0;
+constexpr double kExitCliffCredits = 2.0;
+constexpr double kEnterCliffFraction = 0.06;
+constexpr double kExitCliffFraction = 0.03;
+constexpr double kMinResizeFraction = 1.0 / 64.0;
+
+}  // namespace
+
 CliffScaler::CliffScaler(PartitionedSlabQueue* queue,
                          const CliffScalerConfig& config)
     : queue_(queue), config_(config) {
@@ -40,7 +66,7 @@ void CliffScaler::ClampPointers() {
   const auto q = static_cast<double>(QueueItems());
   const auto min_ptr = static_cast<double>(config_.min_pointer_items);
   left_ptr_ = std::clamp(left_ptr_, min_ptr, q);
-  right_ptr_ = std::clamp(right_ptr_, q, q * config_.max_right_multiple);
+  right_ptr_ = std::clamp(right_ptr_, q, q * kMaxRightMultiple);
 }
 
 void CliffScaler::OnAccess(const GetResult& result) {
@@ -114,10 +140,10 @@ void CliffScaler::ComputeRatioAndStage() {
   // credits (or a small fraction of the queue) are indistinguishable from
   // concave-curve noise and must not split the queue (paper §4.2: on
   // concave curves the pointers stay at the operating point).
-  const double enter = std::max(config_.enter_cliff_credits * credit,
-                                config_.enter_cliff_fraction * q);
-  const double exit = std::max(config_.exit_cliff_credits * credit,
-                               config_.exit_cliff_fraction * q);
+  const double enter =
+      std::max(kEnterCliffCredits * credit, kEnterCliffFraction * q);
+  const double exit =
+      std::max(kExitCliffCredits * credit, kExitCliffFraction * q);
   const bool was_on_cliff = on_cliff_;
   if (!on_cliff_) {
     on_cliff_ = dist_right > enter && dist_left > enter &&
@@ -176,8 +202,8 @@ void CliffScaler::OnMiss() {
   const double delta =
       std::abs(static_cast<double>(staged_left_) - current_left);
   const double quantum =
-      std::max(CreditItems(), static_cast<double>(QueueItems()) *
-                                  config_.min_resize_fraction);
+      std::max(CreditItems(),
+               static_cast<double>(QueueItems()) * kMinResizeFraction);
   if (delta < quantum) return;
   queue_->SetPartitionItems(staged_left_, staged_right_);
   resize_staged_ = false;

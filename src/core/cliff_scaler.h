@@ -39,30 +39,11 @@ struct CliffScalerConfig {
   uint64_t credit_bytes = 4096;
   uint64_t min_active_items = 1000;  // §5.1: only large queues
   uint64_t min_pointer_items = 64;   // keep anchors meaningfully sized
-  double max_right_multiple = 16.0;  // sanity cap on the right pointer
-
-  // Noise control. On a concave curve the paper argues the pointers "will
-  // not move from their starting points"; under stochastic hit arrivals
-  // they in fact random-walk a few credits around the operating point, and
-  // Algorithm 3's ratio dr/(dr+dl) amplifies that noise into violent
-  // partition swings (each swing flushes physical items into the shadows).
-  // We therefore treat the queue as sitting on a cliff only when BOTH
-  // pointer distances exceed enter_cliff_credits credits (with hysteresis
-  // via exit_cliff_credits), and we apply a staged resize only when it
-  // moves a partition by at least max(credit, capacity * min_resize_
-  // fraction) items.
-  // Thresholds are the max of a credit count and a fraction of the queue:
-  // the credit floor matters for small queues, the fraction for large ones
-  // (a 4-credit excursion on a 12k-item queue is ~1% — pure noise, while a
-  // genuine cliff pulls a pointer tens of percent away).
-  double enter_cliff_credits = 4.0;
-  double exit_cliff_credits = 2.0;
-  double enter_cliff_fraction = 0.06;
-  double exit_cliff_fraction = 0.03;
-  double min_resize_fraction = 1.0 / 64.0;
-  // Leave the cliff state only after this many consecutive observations of
-  // the right pointer at the operating point: a genuinely-reached cliff top
-  // pins the pointer (exit), while ordinary wobble bounces it (stay).
+  // Noise control (the cliff-state thresholds, the resize quantum and the
+  // right pointer's cap are constants in cliff_scaler.cc): leave the cliff
+  // state only after this many consecutive observations of the right
+  // pointer at the operating point. A genuinely-reached cliff top pins the
+  // pointer (exit), while ordinary wobble bounces it (stay).
   int exit_confirmations = 8;
   // Engage only at a stable operating point: this many accesses must pass
   // since the last capacity change before the queue may be declared

@@ -105,40 +105,11 @@ ValueOutcome ShardedCacheServer::GetValue(uint32_t app_id, uint64_t key,
       app_id, key, key_size, now_s, flush_at_s);
 }
 
-ValueOutcome ShardedCacheServer::PeekValue(uint32_t app_id, uint64_t key,
-                                           uint32_t now_s,
-                                           uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key)).server(key).PeekByKey(app_id, key,
-                                                            now_s, flush_at_s);
-}
-
 bool ShardedCacheServer::SetValue(uint32_t app_id, const ItemMeta& item,
                                   const void* data, uint32_t flags,
                                   uint64_t cas) {
   return BeginBatch(ShardForKey(item.key)).server(item.key).SetValue(
       app_id, item, data, flags, cas);
-}
-
-ReplaceResult ShardedCacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
-                                               uint32_t key_size,
-                                               const void* data,
-                                               uint32_t size, uint64_t cas,
-                                               uint32_t now_s) {
-  return BeginBatch(ShardForKey(key)).server(key).ReplaceValue(
-      app_id, key, key_size, data, size, cas, now_s);
-}
-
-bool ShardedCacheServer::TouchValue(uint32_t app_id, uint64_t key,
-                                    uint32_t key_size, uint32_t expiry_s,
-                                    uint32_t now_s, uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key)).server(key).TouchByKey(
-      app_id, key, key_size, expiry_s, now_s, flush_at_s);
-}
-
-bool ShardedCacheServer::DeleteValue(uint32_t app_id, uint64_t key,
-                                     uint32_t now_s, uint32_t flush_at_s) {
-  return BeginBatch(ShardForKey(key)).server(key).DeleteByKey(
-      app_id, key, now_s, flush_at_s);
 }
 
 // ---------------------------------------------------------------------------

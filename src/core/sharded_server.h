@@ -95,27 +95,20 @@ class ShardedCacheServer {
   void Delete(uint32_t app_id, const ItemMeta& item);
 
   // Value-mode routed verbs (ServerConfig::store_values): GetValue is
-  // CacheServer::GetByKey, PeekValue PeekByKey, TouchValue TouchByKey and
-  // DeleteValue DeleteByKey (see the AppCache declarations for semantics).
-  // NOTE on GetValue/PeekValue lifetimes: the returned ValueOutcome::view
-  // borrows arena memory guarded by the shard lock — with the routed verbs
-  // the lock is already released on return, so the view is only safe if no
-  // other thread can mutate the shard. Callers needing a stable span across
-  // concurrent traffic take a lease through a ShardBatch's GetByKey and
-  // return it with ShardBatch::ReturnLease.
+  // CacheServer::GetByKey and SetValue is CacheServer::SetValue (see the
+  // AppCache declarations for semantics), kept under the names
+  // perfbench/src/workload.cc calls. The other value verbs have no routed
+  // form: run them on a ShardBatch's server(key), as the network adapter
+  // does. NOTE on GetValue's lifetime: the returned ValueOutcome::view
+  // borrows arena memory guarded by the shard lock, which is already
+  // released on return, so the view is only safe if no other thread can
+  // mutate the shard. Callers needing a stable span across concurrent
+  // traffic take a lease through a ShardBatch's GetByKey and return it
+  // with ShardBatch::ReturnLease.
   ValueOutcome GetValue(uint32_t app_id, uint64_t key, uint32_t key_size,
                         uint32_t now_s, uint32_t flush_at_s);
-  ValueOutcome PeekValue(uint32_t app_id, uint64_t key, uint32_t now_s,
-                         uint32_t flush_at_s);
   bool SetValue(uint32_t app_id, const ItemMeta& item, const void* data,
                 uint32_t flags, uint64_t cas);
-  ReplaceResult ReplaceValue(uint32_t app_id, uint64_t key, uint32_t key_size,
-                             const void* data, uint32_t size, uint64_t cas,
-                             uint32_t now_s);
-  bool TouchValue(uint32_t app_id, uint64_t key, uint32_t key_size,
-                  uint32_t expiry_s, uint32_t now_s, uint32_t flush_at_s);
-  bool DeleteValue(uint32_t app_id, uint64_t key, uint32_t now_s,
-                   uint32_t flush_at_s);
 
   // A locked handle to one shard's CacheServer: it holds the shard's lock
   // until it dies, so a caller that has already grouped its ops by shard

@@ -326,7 +326,7 @@ size_t SocketServer::CollectBurst(Connection* conn,
   // documents. The key-op check runs after parsing (a frame cannot be
   // un-parsed), so one command may overshoot the budget — bounded overshoot.
   size_t key_ops = 0;
-  while (frames < config_.max_burst_frames && key_ops < kMaxKeysPerGet) {
+  while (frames < kMaxBurstFrames && key_ops < kMaxKeysPerGet) {
     if (cmds->size() == frames) cmds->emplace_back();
     Command& cmd = (*cmds)[frames];
     const std::string_view unparsed(conn->rd.data() + conn->rd_offset,
@@ -371,14 +371,12 @@ bool SocketServer::FlushSegments(Connection* conn,
 }
 
 void SocketServer::MaybeReleaseBuffers(Connection* conn) {
-  const size_t threshold = config_.buffer_shrink_threshold;
-  if (threshold == 0) return;
   // swap-with-empty, not shrink_to_fit: the latter is a non-binding request.
-  if (conn->rd.empty() && conn->rd.capacity() > threshold) {
+  if (conn->rd.empty() && conn->rd.capacity() > kBufferShrinkThreshold) {
     std::string().swap(conn->rd);
     buffer_releases_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (conn->wr.empty() && conn->wr.capacity() > threshold) {
+  if (conn->wr.empty() && conn->wr.capacity() > kBufferShrinkThreshold) {
     std::string().swap(conn->wr);
     buffer_releases_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -434,13 +432,13 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
   // recv() == 0 below records the EOF.
   if (!conn->closing && !conn->peer_eof &&
       (revents & (EPOLLIN | EPOLLHUP)) &&
-      conn->rd.size() <= config_.max_read_buffer) {
+      conn->rd.size() <= kMaxReadBuffer) {
     while (true) {
       const ssize_t n = ::recv(conn->fd, read_buf->data(),
                                read_buf->size(), 0);
       if (n > 0) {
         conn->rd.append(read_buf->data(), static_cast<size_t>(n));
-        if (conn->rd.size() > config_.max_read_buffer) break;
+        if (conn->rd.size() > kMaxReadBuffer) break;
         continue;
       }
       if (n == 0) {
@@ -465,7 +463,7 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
   // at once (printf | nc), and every buffered command still deserves its
   // response before the close below.
   while (alive && !conn->closing &&
-         conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
+         conn->wr.size() - conn->wr_offset < kMaxWriteBuffer) {
     const size_t frames = CollectBurst(conn, cmds);
     if (frames == 0) break;
     // Reset in place (not clear+emplace) so the segments — and their inner
@@ -491,8 +489,8 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
   // not merely waiting out write backpressure — means a broken or hostile
   // client; cut it off rather than buffering without bound.
   if (alive && !conn->closing &&
-      conn->wr.size() - conn->wr_offset < config_.max_write_buffer &&
-      conn->rd.size() > config_.max_read_buffer) {
+      conn->wr.size() - conn->wr_offset < kMaxWriteBuffer &&
+      conn->rd.size() > kMaxReadBuffer) {
     conn->closing = true;
   }
   MaybeReleaseBuffers(conn);
@@ -502,7 +500,7 @@ void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
   }
   uint32_t desired = 0;
   if (!conn->closing && !conn->peer_eof &&
-      conn->rd.size() <= config_.max_read_buffer) {
+      conn->rd.size() <= kMaxReadBuffer) {
     desired |= EPOLLIN;
   }
   if (conn->wr_offset < conn->wr.size()) desired |= EPOLLOUT;

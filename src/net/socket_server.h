@@ -9,7 +9,7 @@
 // (EPOLLIN/EPOLLOUT) is only re-armed via EPOLL_CTL_MOD when it actually
 // changes — no per-iteration fd-set rebuild. Each wakeup runs a
 // run-to-completion burst cycle: drain the socket, parse up to
-// max_burst_frames pipelined frames (CollectBurst), hand the whole burst to
+// kMaxBurstFrames pipelined frames (CollectBurst), hand the whole burst to
 // CommandHandler::HandleBatch (one per-shard lock per burst downstream),
 // flush the response segments with one writev scatter-gather straight from
 // the handler's segments — no concatenation copy — and then let the handler
@@ -25,7 +25,7 @@
 //  - Reads append to the connection's read buffer; the parse loop drains
 //    every complete pipelined frame. Partial frames stay buffered; partial
 //    writes stay queued. Buffers that ballooned past
-//    buffer_shrink_threshold release their capacity once they empty.
+//    kBufferShrinkThreshold release their capacity once they empty.
 //  - `quit` (handler returns false) flushes the pending write buffer and
 //    closes. A read buffer driven past its cap without completing a frame
 //    closes the connection (protocol abuse guard).
@@ -113,30 +113,33 @@ enum class SocketBackend : uint8_t {
   kUring,  // never reported: its loop is gone
 };
 
+// Per-connection limits.
+//
+// Read-buffer cap: must fit a full storage frame (line + max value + 2).
+inline constexpr size_t kMaxReadBuffer = kMaxLineBytes + kMaxValueBytes + 16;
+// Write-buffer cap: once this many response bytes are pending, the worker
+// stops parsing further pipelined commands until the peer drains some (a
+// non-reading client must not balloon server memory). Parsing resumes
+// automatically after a flush makes room. The check runs between bursts,
+// so the true per-connection bound is this cap plus one burst's worst-case
+// response, bounded by kMaxKeysPerGet × kMaxValueBytes (a burst is capped
+// at kMaxKeysPerGet key-ops, see kMaxBurstFrames).
+inline constexpr size_t kMaxWriteBuffer = 4 * (1 << 20);
+// Max pipelined frames handed to one HandleBatch call. A burst is
+// additionally capped at kMaxKeysPerGet key-operations (a multiget counts
+// each key), so a burst's worst-case response volume never exceeds the
+// single-command worst case the write cap documents.
+inline constexpr size_t kMaxBurstFrames = 64;
+// A connection buffer whose capacity grew beyond this releases its memory
+// once it empties (per-connection high-water-mark bloat would otherwise
+// persist for the connection's lifetime — at 10k connections one large
+// burst each would pin gigabytes).
+inline constexpr size_t kBufferShrinkThreshold = 256 * 1024;
+
 struct SocketServerConfig {
   uint16_t port = 0;  // 0 = ephemeral; the bound port is port() after Start
   size_t num_workers = 2;
   int backlog = 128;
-  // Read-buffer cap: must fit a full storage frame (line + max value + 2).
-  size_t max_read_buffer = kMaxLineBytes + kMaxValueBytes + 16;
-  // Write-buffer cap: once this many response bytes are pending, the
-  // worker stops parsing further pipelined commands until the peer drains
-  // some (a non-reading client must not balloon server memory). Parsing
-  // resumes automatically after a flush makes room. The check runs between
-  // bursts, so the true per-connection bound is this cap plus one burst's
-  // worst-case response, bounded by kMaxKeysPerGet × kMaxValueBytes (a
-  // burst is capped at kMaxKeysPerGet key-ops, see max_burst_frames).
-  size_t max_write_buffer = 4 * (1 << 20);
-  // Max pipelined frames handed to one HandleBatch call.
-  // A burst is additionally capped at kMaxKeysPerGet key-operations (a
-  // multiget counts each key), so a burst's worst-case response volume
-  // never exceeds the single-command worst case the write cap documents.
-  size_t max_burst_frames = 64;
-  // A connection buffer whose capacity grew beyond this releases its
-  // memory once it empties (per-connection high-water-mark bloat would
-  // otherwise persist for the connection's lifetime — at 10k connections
-  // one large burst each would pin gigabytes). 0 disables shrinking.
-  size_t buffer_shrink_threshold = 256 * 1024;
 };
 
 class SocketServer {
@@ -200,7 +203,7 @@ class SocketServer {
                          std::vector<char>* read_buf,
                          std::vector<Command>* cmds,
                          std::vector<ResponseSegment>* segments);
-  // Parses up to max_burst_frames complete frames (capped at kMaxKeysPerGet
+  // Parses up to kMaxBurstFrames complete frames (capped at kMaxKeysPerGet
   // key-ops) from the read buffer into *cmds. The parsed Commands alias the
   // read buffer; the caller compacts it only after the burst is handled.
   size_t CollectBurst(Connection* conn, std::vector<Command>* cmds);
@@ -219,7 +222,7 @@ class SocketServer {
                             const std::vector<ResponseSegment>& segments,
                             size_t count);
   // Releases a drained connection buffer's capacity once it exceeds
-  // buffer_shrink_threshold (counted in buffer_releases_).
+  // kBufferShrinkThreshold (counted in buffer_releases_).
   void MaybeReleaseBuffers(Connection* conn);
   void CloseConnection(Worker* worker, size_t index);
 

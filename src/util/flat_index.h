@@ -114,9 +114,6 @@ class FlatIndex {
 
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] size_t slot_count() const { return mask_ + 1; }
-  [[nodiscard]] size_t memory_bytes() const {
-    return slot_count() * kSlotBytes;
-  }
 
   // Visit every (key, value) pair; order is unspecified.
   template <typename Fn>

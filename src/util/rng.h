@@ -76,11 +76,6 @@ class Rng {
     return static_cast<uint64_t>(m >> 64);
   }
 
-  // Uniform integer in [lo, hi] inclusive.
-  uint64_t NextInRange(uint64_t lo, uint64_t hi) {
-    return lo + NextBounded(hi - lo + 1);
-  }
-
   // true with probability p.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 

@@ -24,7 +24,6 @@ class TimeSeries {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] size_t size() const { return samples_.size(); }
-  void Clear() { samples_.clear(); }
 
   // Mean of v over all samples (0 when empty).
   [[nodiscard]] double Mean() const;

@@ -7,6 +7,15 @@
 
 namespace cliffhanger {
 
+namespace {
+
+// MakeZipfMixTrace's item sizes. perfbench's ETC stream relies on them.
+constexpr uint32_t kZipfMixKeySize = 16;
+constexpr uint32_t kZipfMixSmallValueSize = 64;   // even keys
+constexpr uint32_t kZipfMixLargeValueSize = 400;  // odd keys
+
+}  // namespace
+
 Trace MakeZipfMixTrace(const ZipfTraceSpec& spec) {
   StreamSpec stream_spec;
   stream_spec.kind = StreamKind::kZipf;
@@ -20,9 +29,9 @@ Trace MakeZipfMixTrace(const ZipfTraceSpec& spec) {
     Request r;
     r.key = stream.Next(rng, i);
     r.app_id = spec.app_id;
-    r.key_size = spec.key_size;
+    r.key_size = kZipfMixKeySize;
     r.value_size =
-        (r.key % 2 == 0) ? spec.small_value_size : spec.large_value_size;
+        (r.key % 2 == 0) ? kZipfMixSmallValueSize : kZipfMixLargeValueSize;
     if (spec.get_fraction < 1.0) {
       r.op = rng.NextBernoulli(spec.get_fraction) ? Op::kGet : Op::kSet;
     }

@@ -43,9 +43,10 @@ struct StreamSpec {
 
 // Canonical two-slab-class Zipf trace shared by the smoke/determinism
 // tests and the throughput benchmark: Zipf keys, 16-byte key size, value
-// size 64 or 400 by key parity (so at least two slab classes compete),
-// GETs with an optional explicit-SET fraction. One definition so the
-// "same workload shape" claims across tests/benches cannot drift apart.
+// size 64 or 400 by key parity (so at least two slab classes compete;
+// the sizes are constants in generators.cc), GETs with an optional
+// explicit-SET fraction. One definition so the "same workload shape"
+// claims across tests/benches cannot drift apart.
 struct ZipfTraceSpec {
   uint64_t requests = 0;
   uint64_t universe = 30000;
@@ -56,9 +57,6 @@ struct ZipfTraceSpec {
   // Exactly 1.0 draws no per-request op variate (bit-compatible with the
   // pure-GET traces the tests were seeded with).
   double get_fraction = 1.0;
-  uint32_t key_size = 16;
-  uint32_t small_value_size = 64;   // even keys
-  uint32_t large_value_size = 400;  // odd keys
 };
 
 // Defined in workload/trace.h; forward-declared here to keep this header

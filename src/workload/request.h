@@ -36,7 +36,6 @@ struct Request {
   Op op = Op::kGet;
 
   [[nodiscard]] bool is_get() const { return op == Op::kGet; }
-  [[nodiscard]] bool is_set() const { return op == Op::kSet; }
 };
 
 }  // namespace cliffhanger

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "cache/arc_queue.h"
 #include "cache/global_log_queue.h"
@@ -50,6 +51,7 @@ TEST(SlabQueueExpiry, ExpiredHitIsAFullMissAndErases) {
   EXPECT_TRUE(q.Get(At(1, 109)).hit);  // second 109: alive
   const GetResult r = q.Get(At(1, 110));
   EXPECT_FALSE(r.hit);
+  EXPECT_TRUE(r.expired);
   EXPECT_EQ(r.region, HitRegion::kMiss);  // no shadow credit for a corpse
   EXPECT_EQ(q.physical_items(), 0u);      // erased, not demoted
   EXPECT_TRUE(q.lru().CheckInvariants());
@@ -136,12 +138,17 @@ TEST(ArcQueueExpiry, ExpiredResidentIsAFullMissNotAGhostHit) {
   ArcQueue q(64);
   q.SetCapacityBytes(16 * 64);
   q.Fill(At(1, 100, 110));
-  EXPECT_TRUE(q.Get(At(1, 105)).hit);
+  const GetResult live = q.Get(At(1, 105));
+  EXPECT_TRUE(live.hit);
+  EXPECT_FALSE(live.expired);
   const GetResult r = q.Get(At(1, 110));
   EXPECT_FALSE(r.hit);
+  EXPECT_TRUE(r.expired);
   EXPECT_EQ(r.region, HitRegion::kMiss);  // not kHillShadow: never evicted
   // The miss re-admitted the key (ARC admits in Get), expiry from the op.
-  EXPECT_TRUE(q.Get(At(1, 111)).hit);
+  const GetResult again = q.Get(At(1, 111));
+  EXPECT_TRUE(again.hit);
+  EXPECT_FALSE(again.expired);
   EXPECT_TRUE(q.CheckInvariants());
 }
 
@@ -161,8 +168,11 @@ TEST(LfuQueueExpiry, FrequencyHistoryDiesWithTheItem) {
   q.Fill(At(1, 100, 110));
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.Get(At(1, 105)).hit);
   EXPECT_EQ(q.FrequencyOf(1), 6u);
-  EXPECT_FALSE(q.Get(At(1, 110)).hit);
+  const GetResult r = q.Get(At(1, 110));
+  EXPECT_FALSE(r.hit);
+  EXPECT_TRUE(r.expired);
   EXPECT_EQ(q.FrequencyOf(1), 0u);  // gone
+  EXPECT_FALSE(q.Get(At(1, 110)).expired);  // a plain miss now
   q.Fill(At(1, 110, 0));
   EXPECT_EQ(q.FrequencyOf(1), 1u);  // restarts cold
   EXPECT_TRUE(q.Touch(At(1, 120, 200)));
@@ -174,7 +184,10 @@ TEST(GlobalLogExpiry, LazyExpiryAndTouch) {
   GlobalLogQueue q(1 << 16);
   q.Fill(At(1, 100, 110));
   EXPECT_TRUE(q.Get(At(1, 109)).hit);
-  EXPECT_FALSE(q.Get(At(1, 110)).hit);
+  const GetResult r = q.Get(At(1, 110));
+  EXPECT_FALSE(r.hit);
+  EXPECT_TRUE(r.expired);
+  EXPECT_FALSE(q.Get(At(1, 110)).expired);  // erased: a plain miss now
   q.Fill(At(2, 100, 110));
   EXPECT_TRUE(q.Touch(At(2, 105, 0)));  // make permanent
   EXPECT_TRUE(q.Get(At(2, UINT32_MAX)).hit);
@@ -211,6 +224,126 @@ TEST(CoreExpiry, TouchNeverMaterializesAClass) {
   AppCache& app = server.AddApp(1, 1 << 20);
   EXPECT_FALSE(server.Touch(1, At(42, 100, 500)));
   EXPECT_TRUE(app.ClassInfos().empty());
+}
+
+// --- Core: the value-mode verbs share one liveness rule --------------------
+
+// What the verbs should find under the key: no resident value, or a
+// resident value that is live, expired, or stored before a passed flush
+// point.
+enum class Want : uint8_t { kAbsent, kLive, kExpired, kFlushed };
+
+constexpr uint32_t kValueApp = 1;
+constexpr uint64_t kValueKey = 7;
+const uint32_t kValueKeySize = At(kValueKey, 0).key_size;
+
+// Stores an At() item with a payload of its value size.
+void StoreValue(CacheServer& server, uint64_t key, uint32_t now_s,
+                uint32_t expiry_s) {
+  const ItemMeta item = At(key, now_s, expiry_s);
+  const std::string value(item.value_size, 'v');
+  ASSERT_TRUE(server.SetValue(kValueApp, item, value.data(), 0, 1));
+}
+
+struct KeyState {
+  const char* name;
+  Want want;
+  uint32_t now_s;       // the second the verbs run at
+  uint32_t flush_at_s;  // the flush point they pass (0 = none)
+  void (*prepare)(CacheServer&);
+};
+
+const KeyState kKeyStates[] = {
+    {"absent", Want::kAbsent, 100, 0, [](CacheServer&) {}},
+    {"shadow-only", Want::kAbsent, 100, 0,
+     [](CacheServer& server) {
+       StoreValue(server, kValueKey, 100, 0);
+       // One 4 KiB page holds a few dozen of these items: later stores of
+       // the same size push the key out into the shadow queues.
+       for (uint64_t k = 1000; k < 1100; ++k) StoreValue(server, k, 100, 0);
+       const ValueStore::Ref ref =
+           server.app(kValueApp)->value_store()->Find(kValueKey);
+       ASSERT_TRUE(ref.found && !ref.has_slot());
+     }},
+    {"live", Want::kLive, 100, 0,
+     [](CacheServer& server) { StoreValue(server, kValueKey, 100, 0); }},
+    {"expired", Want::kExpired, 120, 0,
+     [](CacheServer& server) { StoreValue(server, kValueKey, 100, 110); }},
+    {"stored before a passed flush point", Want::kFlushed, 110, 105,
+     [](CacheServer& server) { StoreValue(server, kValueKey, 100, 0); }},
+    {"stored in the flush second", Want::kLive, 110, 105,
+     [](CacheServer& server) { StoreValue(server, kValueKey, 105, 0); }},
+    {"flush point still ahead", Want::kLive, 110, 200,
+     [](CacheServer& server) { StoreValue(server, kValueKey, 100, 0); }},
+    {"expired and flushed", Want::kExpired, 110, 105,
+     [](CacheServer& server) { StoreValue(server, kValueKey, 100, 108); }},
+};
+
+TEST(CoreExpiry, ValueVerbsShareOneLivenessRule) {
+  enum Verb : int { kGet, kPeek, kTouch, kDelete, kVerbs };
+  for (const KeyState& state : kKeyStates) {
+    for (int verb = kGet; verb < kVerbs; ++verb) {
+      SCOPED_TRACE(std::string(state.name) + ", verb " +
+                   std::to_string(verb));
+      ServerConfig config;
+      config.store_values = true;
+      config.page_size = 4096;
+      CacheServer server(config);
+      AppCache& app = server.AddApp(kValueApp, 4096);
+      state.prepare(server);
+      const ValueStore& store = *app.value_store();
+      ASSERT_EQ(store.Find(kValueKey).has_slot(),
+                state.want != Want::kAbsent);
+
+      const bool live = state.want == Want::kLive;
+      const ClassStats before = app.TotalStats();
+      const uint32_t now = state.now_s;
+      const uint32_t flush = state.flush_at_s;
+      switch (verb) {
+        case kGet: {
+          const ValueOutcome vo =
+              server.GetByKey(kValueApp, kValueKey, kValueKeySize, now, flush);
+          EXPECT_EQ(vo.valid, live);
+          EXPECT_EQ(vo.expired, state.want == Want::kExpired);
+          EXPECT_EQ(vo.flush_reclaimed, state.want == Want::kFlushed);
+          // An expired GET is a counted miss; a flushed one is reclaimed
+          // without touching the statistics.
+          const ClassStats after = app.TotalStats();
+          EXPECT_EQ(after.gets - before.gets,
+                    state.want == Want::kFlushed ? 0u : 1u);
+          EXPECT_EQ(after.hits - before.hits, live ? 1u : 0u);
+          break;
+        }
+        case kPeek: {
+          const ValueOutcome vo =
+              server.PeekByKey(kValueApp, kValueKey, now, flush);
+          EXPECT_EQ(vo.valid, live);
+          EXPECT_EQ(vo.expired, state.want == Want::kExpired);
+          EXPECT_EQ(vo.flush_reclaimed, state.want == Want::kFlushed);
+          if (live) {
+            EXPECT_EQ(vo.view.size, At(kValueKey, 0).value_size);
+          }
+          break;
+        }
+        case kTouch:
+          EXPECT_EQ(server.TouchByKey(kValueApp, kValueKey, kValueKeySize,
+                                      /*expiry_s=*/0, now, flush),
+                    live);
+          break;
+        case kDelete:
+          EXPECT_EQ(server.DeleteByKey(kValueApp, kValueKey, now, flush),
+                    live);
+          break;
+      }
+      if (verb != kGet) {
+        EXPECT_EQ(app.TotalStats().gets, before.gets);  // uncounted verbs
+      }
+      // Whichever verb meets an expired or flushed value reclaims it; a
+      // live one survives every verb but delete.
+      EXPECT_EQ(store.Find(kValueKey).has_slot(), live && verb != kDelete);
+      EXPECT_TRUE(app.CheckInvariants());
+    }
+  }
 }
 
 TEST(ShardedExpiry, TouchAndMutateRouteThroughShards) {

@@ -1057,14 +1057,14 @@ TEST_P(NetE2eTest, StopIsPromptDuringFdExhaustionBackoff) {
 }
 
 TEST_P(NetE2eTest, ConnectionBuffersReleaseHighWaterCapacity) {
-  // A single fat frame balloons the connection's read buffer far past the
-  // (lowered) shrink threshold; once the frame is consumed the capacity
-  // must go back to the allocator instead of pinning the high-water mark
-  // for the connection's lifetime.
-  net_config_template_.buffer_shrink_threshold = 16 * 1024;
+  // A single fat frame balloons the connection's read buffer past the
+  // shrink threshold; once the frame is consumed the capacity must go back
+  // to the allocator instead of pinning the high-water mark for the
+  // connection's lifetime.
   StartDefaultServer();
   net::AsciiClient client = MakeClient();
-  const std::string big(128 * 1024, 'x');
+  const std::string big(2 * net::kBufferShrinkThreshold, 'x');
+  static_assert(2 * net::kBufferShrinkThreshold <= net::kMaxValueBytes);
   ASSERT_EQ(client.Set("big", big), net::AsciiClient::StoreResult::kStored);
   ASSERT_EQ(client.Get("big")->data, big);
   // The STORED response proves the frame was handled, but the release runs
@@ -1325,7 +1325,8 @@ TEST_P(NetE2eTest, SocketReplayIsBitIdenticalToLibraryReplay) {
 // expiries and flush reclamation all live in the core now, so the mirror
 // holds only what the adapter itself holds — a cas counter and the flush
 // point — and issues exactly the verb sequence the adapter issues
-// (including the no-cas-minted-on-rejected-store discipline).
+// (including the no-cas-minted-on-rejected-store discipline), each on the
+// shard's CacheServer under a one-op ShardBatch, as the adapter reaches it.
 // Single-threaded, like the one-connection socket pass, so the cas counter
 // advances in the same order.
 class FullVerbReplay {
@@ -1358,7 +1359,8 @@ class FullVerbReplay {
       // Presence straight from the core (resident, unexpired, unflushed),
       // like the adapter's StoreLocked peek.
       const ValueOutcome peek =
-          server_->PeekValue(app_id_, key_id, now, flush_at_s_);
+          Lock(key_id).server(key_id).PeekByKey(app_id_, key_id, now,
+                                                flush_at_s_);
       if ((kind == Kind::kAdd && peek.valid) ||
           (kind == Kind::kReplace && !peek.valid)) {
         return SR::kNotStored;
@@ -1382,8 +1384,8 @@ class FullVerbReplay {
 
   SR Concat(bool append, uint64_t key_id, uint32_t key_size,
             const std::string& data, uint32_t now) {
-    const ValueOutcome peek =
-        server_->PeekValue(app_id_, key_id, now, flush_at_s_);
+    const ValueOutcome peek = Lock(key_id).server(key_id).PeekByKey(
+        app_id_, key_id, now, flush_at_s_);
     if (!peek.valid) return SR::kNotStored;
     if (static_cast<uint64_t>(peek.view.size) + data.size() >
         net::kMaxValueBytes) {
@@ -1402,20 +1404,21 @@ class FullVerbReplay {
     if (SlabClassFor(ExactFootprint(key_size, new_size)) < 0) {
       // Under kMaxValueBytes but over the largest chunk: the old
       // incarnation dies (ReplaceValue deletes before failing), no cas.
-      server_->ReplaceValue(app_id_, key_id, key_size, combined.data(),
-                            new_size, 0, now);
+      Lock(key_id).server(key_id).ReplaceValue(
+          app_id_, key_id, key_size, combined.data(), new_size, 0, now);
       return SR::kTooLarge;
     }
-    server_->ReplaceValue(app_id_, key_id, key_size, combined.data(),
-                          new_size, ++cas_counter_, now);
+    Lock(key_id).server(key_id).ReplaceValue(app_id_, key_id, key_size,
+                                             combined.data(), new_size,
+                                             ++cas_counter_, now);
     return SR::kStored;
   }
 
   enum class ArithResult : uint8_t { kOk, kNotFound, kNonNumeric };
   ArithResult Arith(bool increment, uint64_t key_id, uint32_t key_size,
                     uint64_t delta, uint32_t now, uint64_t* result_out) {
-    const ValueOutcome peek =
-        server_->PeekValue(app_id_, key_id, now, flush_at_s_);
+    const ValueOutcome peek = Lock(key_id).server(key_id).PeekByKey(
+        app_id_, key_id, now, flush_at_s_);
     if (!peek.valid) return ArithResult::kNotFound;
     uint64_t value = 0;
     if (!ParseDecimalU64(std::string_view(peek.view.data, peek.view.size),
@@ -1426,23 +1429,24 @@ class FullVerbReplay {
                                 ? value + delta
                                 : (value < delta ? 0 : value - delta);
     const std::string text = std::to_string(result);
-    server_->ReplaceValue(app_id_, key_id, key_size, text.data(),
-                          static_cast<uint32_t>(text.size()), ++cas_counter_,
-                          now);
+    Lock(key_id).server(key_id).ReplaceValue(
+        app_id_, key_id, key_size, text.data(),
+        static_cast<uint32_t>(text.size()), ++cas_counter_, now);
     *result_out = result;
     return ArithResult::kOk;
   }
 
   bool Touch(uint64_t key_id, uint32_t key_size, int64_t exptime,
              uint32_t now) {
-    return server_->TouchValue(app_id_, key_id, key_size,
-                               net::AbsoluteExpiry(exptime, now), now,
-                               flush_at_s_);
+    return Lock(key_id).server(key_id).TouchByKey(
+        app_id_, key_id, key_size, net::AbsoluteExpiry(exptime, now), now,
+        flush_at_s_);
   }
 
   bool Delete(uint64_t key_id, uint32_t key_size, uint32_t now) {
     (void)key_size;
-    return server_->DeleteValue(app_id_, key_id, now, flush_at_s_);
+    return Lock(key_id).server(key_id).DeleteByKey(app_id_, key_id, now,
+                                                   flush_at_s_);
   }
 
   void FlushAll(int64_t delay, uint32_t now) {
@@ -1452,6 +1456,13 @@ class FullVerbReplay {
   }
 
  private:
+  // Locks key_id's shard until the end of the caller's full-expression, so
+  // Lock(k).server(k).Verb(...) runs one verb under the shard lock and
+  // counts it toward the rebalance cadence, as a routed verb would.
+  ShardedCacheServer::ShardBatch Lock(uint64_t key_id) {
+    return server_->BeginBatch(server_->ShardForKey(key_id));
+  }
+
   ShardedCacheServer* server_;
   uint32_t app_id_;
   uint64_t cas_counter_ = 0;  // same numbering as the adapter's NextCas()
