@@ -10,9 +10,10 @@
 // (ServerConfig::store_values): CacheServer::GetByKey, the path a daemon
 // GET takes, which also fetches the payload's view from the value arena.
 //
-// Emits machine-readable JSON on stdout (one object, `results` array, same
-// shape as table7_throughput) for benchmark regression tracking via
-// bench/compare_bench.py; human-readable progress goes to stderr.
+// Emits machine-readable JSON on stdout through bench::BenchJsonWriter (one
+// object, `results` array, same shape as table7_throughput) for benchmark
+// regression tracking via bench/compare_bench.py; human-readable progress
+// goes to stderr.
 //
 // Flags: --requests N  measured requests per row (default 400000)
 #include <chrono>
@@ -20,9 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
-#include <vector>
 
+#include "bench/bench_common.h"
 #include "sim/experiment.h"
 #include "workload/facebook_workload.h"
 
@@ -183,24 +185,6 @@ Row RunGetHitValue(int mode, uint64_t requests) {
   return Finish(row, begin, end, requests);
 }
 
-void PrintJson(const std::vector<Row>& rows) {
-  std::printf("{\n");
-  std::printf("  \"benchmark\": \"table6_latency\",\n");
-  std::printf("  \"results\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::printf("    {\"name\": \"%s\", \"op\": \"%s\", \"mode\": \"%s\", "
-                "\"requests\": %llu, \"seconds\": %.6f, "
-                "\"ns_per_op\": %.1f, \"ops_per_sec\": %.1f, "
-                "\"overhead_pct\": %.2f}%s\n",
-                r.name.c_str(), r.op.c_str(), r.mode.c_str(),
-                static_cast<unsigned long long>(r.requests), r.seconds,
-                r.ns_per_op, r.ops_per_sec, r.overhead_pct,
-                i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
 int Main(int argc, char** argv) {
   uint64_t requests = 400000;
   for (int i = 1; i < argc; ++i) {
@@ -216,7 +200,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<Row> rows;
+  bench::BenchJsonWriter json("table6_latency");
   using Runner = Row (*)(int, uint64_t);
   const Runner runners[] = {&RunGetMiss, &RunSetMiss, &RunGetHit,
                             &RunGetHitValue};
@@ -231,10 +215,17 @@ int Main(int argc, char** argv) {
       }
       std::fprintf(stderr, "table6: %-22s %8.1f ns/op (%+.2f%%)\n",
                    row.name.c_str(), row.ns_per_op, row.overhead_pct);
-      rows.push_back(row);
+      json.AddRow(row.name)
+          .Add("op", row.op)
+          .Add("mode", row.mode)
+          .Add("requests", row.requests)
+          .Add("seconds", row.seconds)
+          .Add("ns_per_op", row.ns_per_op)
+          .Add("ops_per_sec", row.ops_per_sec)
+          .Add("overhead_pct", row.overhead_pct);
     }
   }
-  PrintJson(rows);
+  json.Print(std::cout);
   return 0;
 }
 

@@ -11,8 +11,9 @@
 // thread runs its share of the bursts kAdapterPasses times. Their speedup
 // is against the 1-thread adapter row.
 //
-// Emits machine-readable JSON on stdout (one object, `results` array) for
-// benchmark regression tracking; human-readable progress goes to stderr.
+// Emits machine-readable JSON on stdout through bench::BenchJsonWriter (one
+// object, `results` array) for benchmark regression tracking;
+// human-readable progress goes to stderr.
 //
 // Flags: --requests N     per-mix measured requests   (default 200000)
 //        --mt-requests N  zipf_mt/adapter_burst trace length (default 400000)
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -29,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/sharded_server.h"
 #include "net/ascii_protocol.h"
 #include "net/cache_adapter.h"
@@ -354,41 +357,34 @@ Row RunAdapterBursts(const ParsedRequests& fill, const ParsedRequests& replay,
 }
 
 void PrintJson(const std::vector<Row>& rows) {
-  std::printf("{\n");
-  std::printf("  \"benchmark\": \"table7_throughput\",\n");
-  std::printf("  \"hardware_concurrency\": %u,\n",
-              std::thread::hardware_concurrency());
-  if (std::thread::hardware_concurrency() <= 1) {
+  bench::BenchJsonWriter json("table7_throughput");
+  const unsigned cpus = std::thread::hardware_concurrency();
+  json.Meta("hardware_concurrency", static_cast<uint64_t>(cpus));
+  if (cpus <= 1) {
     // Keep the interpretation with the data: on one CPU the multi-thread
     // rows show lock/routing overhead, not scaling, and any downstream
     // comparison tool must not read speedup_vs_single_thread as scaling.
-    std::printf("  \"caveat\": \"single-CPU host: sharded rows measure "
-                "lock/routing overhead, not scaling\",\n");
+    json.Meta("caveat",
+              "single-CPU host: sharded rows measure lock/routing "
+              "overhead, not scaling");
   }
-  std::printf("  \"results\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::printf("    {\"name\": \"%s\", \"section\": \"%s\", "
-                "\"mode\": \"%s\", \"get_fraction\": %.3f, "
-                "\"threads\": %zu, \"shards\": %zu, \"requests\": %llu, "
-                "\"seconds\": %.6f, \"ops_per_sec\": %.1f",
-                r.name.c_str(), r.section.c_str(), r.mode.c_str(),
-                r.get_fraction, r.threads, r.shards,
-                static_cast<unsigned long long>(r.requests), r.seconds,
-                r.ops_per_sec);
-    if (r.fill > 0) {
-      // Reduced smoke runs shrink the warm-up and may not reach the
-      // full-cache regime; record the fill so runs at different sizes
-      // are never naively compared.
-      std::printf(", \"fill\": %llu",
-                  static_cast<unsigned long long>(r.fill));
-    }
-    if (r.speedup > 0) {
-      std::printf(", \"speedup_vs_single_thread\": %.3f", r.speedup);
-    }
-    std::printf("}%s\n", i + 1 < rows.size() ? "," : "");
+  for (const Row& r : rows) {
+    bench::JsonObject& row = json.AddRow(r.name)
+                                 .Add("section", r.section)
+                                 .Add("mode", r.mode)
+                                 .Add("get_fraction", r.get_fraction)
+                                 .Add("threads", r.threads)
+                                 .Add("shards", r.shards)
+                                 .Add("requests", r.requests)
+                                 .Add("seconds", r.seconds)
+                                 .Add("ops_per_sec", r.ops_per_sec);
+    // Reduced smoke runs shrink the warm-up and may not reach the
+    // full-cache regime; record the fill so runs at different sizes are
+    // never naively compared.
+    if (r.fill > 0) row.Add("fill", r.fill);
+    if (r.speedup > 0) row.Add("speedup_vs_single_thread", r.speedup);
   }
-  std::printf("  ]\n}\n");
+  json.Print(std::cout);
 }
 
 int Main(int argc, char** argv) {

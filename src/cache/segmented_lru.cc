@@ -139,10 +139,6 @@ uint64_t SegmentedLru::segment_capacity(size_t seg) const {
   return segments_[seg].config.capacity;
 }
 
-uint64_t SegmentedLru::segment_load(size_t seg) const {
-  return Load(segments_[seg]);
-}
-
 size_t SegmentedLru::segment_items(size_t seg) const {
   return segments_[seg].chain.count;
 }

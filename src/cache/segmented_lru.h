@@ -115,9 +115,7 @@ class SegmentedLru {
   // that size never grows or rehashes mid-stream. Grows only.
   void ReserveItems(size_t items);
 
-  [[nodiscard]] size_t num_segments() const { return segments_.size(); }
   [[nodiscard]] uint64_t segment_capacity(size_t seg) const;
-  [[nodiscard]] uint64_t segment_load(size_t seg) const;  // in its own unit
   [[nodiscard]] size_t segment_items(size_t seg) const;
   [[nodiscard]] uint64_t segment_bytes(size_t seg) const;  // charged bytes
   [[nodiscard]] size_t total_items() const { return index_.size(); }

@@ -345,7 +345,6 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
   const int slab_class = ref.found ? ref.slab_class : ClassFor(item);
   const uint64_t mutations = value_store_->mutations();
   vo.outcome = GetAtClass(slab_class, item);
-  vo.expired = vo.outcome.expired;
   if (!vo.outcome.hit) return vo;
   // Residency invariant: a queue hit implies a live slot (shadow entries
   // can only re-enter the physical segments through Fill). A hit leaves
@@ -384,7 +383,7 @@ ValueOutcome AppCache::PeekByKey(uint64_t key, uint32_t now_s,
       break;
     case Liveness::kExpired:
       PartitionedFor(ref.slab_class)->Delete(key);
-      vo.expired = true;
+      vo.outcome.expired = true;
       break;
     case Liveness::kFlushed:
       PartitionedFor(ref.slab_class)->Delete(key);

@@ -99,7 +99,8 @@ struct Outcome {
   int slab_class = -1;
   HitRegion region = HitRegion::kMiss;
   // The probe found the key but its expiry had passed, so it was lazily
-  // erased and the access counted as a miss (memcached's get_expired).
+  // erased: a counted miss for a Get (memcached's get_expired), an absent
+  // key for a value-mode peek.
   bool expired = false;
 };
 
@@ -112,8 +113,7 @@ struct ValueOutcome {
   // The entry was invalidated by flush_all and reclaimed on this access
   // without touching the statistics (outcome.cacheable == false).
   bool flush_reclaimed = false;
-  bool expired = false;  // lazily reclaimed as expired on this access
-  bool valid = false;    // `view` is filled and serveable
+  bool valid = false;  // `view` is filled and serveable
   ValueView view;
 };
 

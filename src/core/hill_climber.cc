@@ -116,7 +116,6 @@ bool HillClimber::TryTransfer(size_t i) {
   winner->SetCapacityBytes(winner->capacity_bytes() + quantum);
   credits_[best] += static_cast<int64_t>(quantum);
   ++transfers_;
-  transferred_bytes_ += quantum;
   return true;
 }
 

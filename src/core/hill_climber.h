@@ -94,9 +94,6 @@ class HillClimber {
   }
   [[nodiscard]] int64_t credits(size_t i) const { return credits_[i]; }
   [[nodiscard]] uint64_t total_transfers() const { return transfers_; }
-  [[nodiscard]] uint64_t transferred_bytes() const {
-    return transferred_bytes_;
-  }
 
  private:
   // Move up to `quantum_bytes` into queue i from a random donor with spare
@@ -110,7 +107,6 @@ class HillClimber {
   std::vector<size_t> free_slots_;  // kept sorted descending; reuse lowest
   size_t live_count_ = 0;
   uint64_t transfers_ = 0;
-  uint64_t transferred_bytes_ = 0;
 };
 
 }  // namespace cliffhanger

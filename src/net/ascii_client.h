@@ -40,7 +40,6 @@ class AsciiClient {
   bool Connect(const std::string& host, uint16_t port,
                int timeout_ms = 30000);
   void Close();
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
   struct Value {
     std::string data;

@@ -113,12 +113,6 @@ class AsciiParser {
   // views in *out alias `buffer`.
   ParseStatus Next(std::string_view buffer, size_t* consumed, Command* out);
 
-  // True when the parser is mid-resync (discarding a rejected data block or
-  // an oversized line). Exposed for tests.
-  [[nodiscard]] bool resyncing() const {
-    return swallow_data_remaining_ > 0 || swallow_line_;
-  }
-
  private:
   uint64_t swallow_data_remaining_ = 0;
   bool swallow_line_ = false;

@@ -52,12 +52,6 @@ struct Borrow {
 };
 thread_local std::vector<Borrow> t_borrows;
 
-std::vector<uint32_t> SortedAppIds(const ShardedCacheServer& server) {
-  std::vector<uint32_t> ids = server.app_ids();
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 std::atomic<uint64_t> g_next_adapter_id{1};
 
 // Single-writer add: only the block's owning thread writes it, so a relaxed
@@ -135,7 +129,6 @@ CacheAdapter::CacheAdapter(ShardedCacheServer* server,
                            const CacheAdapterConfig& config)
     : server_(server),
       config_(config),
-      app_ids_(SortedAppIds(*server)),
       id_(g_next_adapter_id.fetch_add(1, std::memory_order_relaxed)) {
   if (!config_.clock) {
     config_.clock = [] { return static_cast<uint32_t>(::time(nullptr)); };
@@ -178,8 +171,6 @@ CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
   rk.app_id = config_.default_app_id;
   uint32_t prefixed = 0;
   if (ParseAppPrefix(key, &prefixed)) rk.app_id = prefixed;
-  rk.app_known =
-      std::binary_search(app_ids_.begin(), app_ids_.end(), rk.app_id);
   return rk;
 }
 
@@ -187,6 +178,7 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& batch,
                                 std::string_view key, const RoutedKey& rk,
                                 uint32_t now_s, bool with_cas,
                                 CounterBlock& counts, OpReply* reply) {
+  Add(counts.cmd_get);
   ValueLease lease;
   const ValueOutcome vo = batch.server(rk.key_id).GetByKey(
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()), now_s,
@@ -220,50 +212,8 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& batch,
     return;
   }
   Add(counts.get_misses);
-  if (vo.expired) {
+  if (vo.outcome.expired) {
     Add(counts.get_expired);
-  }
-}
-
-bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
-                                 CounterBlock& counts, std::string* out) {
-  switch (cmd.type) {
-    case CommandType::kSet:
-    case CommandType::kAdd:
-    case CommandType::kReplace:
-    case CommandType::kCas:
-    case CommandType::kAppend:
-    case CommandType::kPrepend:
-      Add(counts.cmd_set);
-      if (rk.app_known) return true;
-      Add(counts.store_rejected);
-      if (cmd.type == CommandType::kCas) {
-        Add(counts.cas_misses);
-      }
-      if (!cmd.noreply) {
-        AppendErrorLine(out, "SERVER_ERROR unknown application");
-      }
-      return false;
-    case CommandType::kIncr:
-    case CommandType::kDecr:
-      if (rk.app_known) return true;
-      Add(cmd.type == CommandType::kIncr ? counts.incr_misses
-                                         : counts.decr_misses);
-      if (!cmd.noreply) out->append(kNotFoundLine);
-      return false;
-    case CommandType::kTouch:
-      Add(counts.cmd_touch);
-      if (rk.app_known) return true;
-      Add(counts.touch_misses);
-      if (!cmd.noreply) out->append(kNotFoundLine);
-      return false;
-    case CommandType::kDelete:
-      Add(counts.cmd_delete);
-      if (rk.app_known) return true;
-      if (!cmd.noreply) out->append(kNotFoundLine);
-      return false;
-    default:
-      return true;
   }
 }
 
@@ -440,6 +390,7 @@ void CacheAdapter::TouchLocked(CacheServer& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, CounterBlock& counts,
                                std::string* out) {
+  Add(counts.cmd_touch);
   const std::string_view key = cmd.key();
   // Refreshes the stored expiry and the item's recency standing; no GET
   // statistics move (memcached counts touches separately, and so does the
@@ -461,6 +412,7 @@ void CacheAdapter::DeleteLocked(CacheServer& core,
                                 const Command& cmd, const RoutedKey& rk,
                                 uint32_t now_s, CounterBlock& counts,
                                 std::string* out) {
+  Add(counts.cmd_delete);
   // The core reports whether a live, unexpired, unflushed item existed
   // (memcached's DELETED/NOT_FOUND split) and erases every trace either
   // way — including shadow state, which must not keep earning credit an
@@ -548,7 +500,7 @@ void CacheAdapter::HandleStats(std::string* out) {
                static_cast<uint64_t>(use.chunk_size));
     AppendStat(out, prefix + ":used_chunks", use.used_chunks);
   }
-  for (const uint32_t app_id : app_ids_) {
+  for (const uint32_t app_id : server_->app_ids()) {
     std::string name = "app_" + std::to_string(app_id) + "_reservation_bytes";
     AppendStat(out, name, server_->AppReservation(app_id));
   }
@@ -664,6 +616,7 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& batch,
                                    OpReply* reply) {
   const Command& cmd = *op.cmd;
   std::string* out = &reply->text;
+  CacheServer& core = batch.server(op.rk.key_id);
   switch (cmd.type) {
     case CommandType::kGet:
     case CommandType::kGets:
@@ -675,26 +628,34 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& batch,
     case CommandType::kAdd:
     case CommandType::kReplace:
     case CommandType::kCas:
-      StoreLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
-                  out);
-      break;
     case CommandType::kAppend:
     case CommandType::kPrepend:
-      ConcatLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
-                   out);
+      Add(counts.cmd_set);
+      if (core.app(op.rk.app_id) == nullptr) {
+        // The app was never registered or is gone: refused before a cas is
+        // minted, so nothing is stored and no bytes count as read.
+        Add(counts.store_rejected);
+        if (cmd.type == CommandType::kCas) Add(counts.cas_misses);
+        if (!cmd.noreply) {
+          AppendErrorLine(out, "SERVER_ERROR unknown application");
+        }
+      } else if (cmd.type == CommandType::kAppend ||
+                 cmd.type == CommandType::kPrepend) {
+        ConcatLocked(core, cmd, op.rk, op.now_s, counts, out);
+      } else {
+        StoreLocked(core, cmd, op.rk, op.now_s, counts, out);
+      }
       break;
     case CommandType::kIncr:
     case CommandType::kDecr:
-      ArithLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s,
+      ArithLocked(core, cmd, op.rk, op.now_s,
                   /*increment=*/cmd.type == CommandType::kIncr, counts, out);
       break;
     case CommandType::kTouch:
-      TouchLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
-                  out);
+      TouchLocked(core, cmd, op.rk, op.now_s, counts, out);
       break;
     case CommandType::kDelete:
-      DeleteLocked(batch.server(op.rk.key_id), cmd, op.rk, op.now_s, counts,
-                   out);
+      DeleteLocked(core, cmd, op.rk, op.now_s, counts, out);
       break;
     default:
       break;  // unreachable: only shardable ops are collected
@@ -721,36 +682,25 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
     return reply;
   };
 
-  // Collection: expand commands into shard-routed ops and claim their
-  // reply slots in stream order. Admission (unknown app) and the command
-  // counters run here, before any lock; Now() is read once per command, in
-  // command order.
+  // Collection: expand commands into shard-routed ops — one per key of a
+  // get/gets, one for every other verb — and claim their reply slots in
+  // stream order. Now() is read once per command, in command order; the
+  // counters move when the ops run.
   ops.clear();
   ops.reserve(count);
   for (size_t c = 0; c < count; ++c) {
     const Command& cmd = cmds[c];
     const uint32_t now = Now();
+    for (size_t k = 0; k < cmd.keys.size(); ++k) {
+      claim();
+      const RoutedKey rk = Route(cmd.keys[k]);
+      ops.push_back(BurstOp{&cmd, k, claimed - 1, now, rk,
+                            server_->ShardForKey(rk.key_id)});
+    }
     if (cmd.type == CommandType::kGet || cmd.type == CommandType::kGets) {
-      for (size_t k = 0; k < cmd.keys.size(); ++k) {
-        Add(counts.cmd_get);
-        claim();
-        const RoutedKey rk = Route(cmd.keys[k]);
-        if (!rk.app_known) {
-          Add(counts.get_misses);
-          continue;  // slot stays empty: a silent miss
-        }
-        ops.push_back(BurstOp{&cmd, k, claimed - 1, now, rk,
-                              server_->ShardForKey(rk.key_id)});
-      }
       if (cmd.keys.empty()) claim();  // the parser never emits one
       replies[claimed - 1].ends_get = true;
-      continue;
     }
-    OpReply& reply = claim();
-    const RoutedKey rk = Route(cmd.key());
-    if (!CountAndAdmit(cmd, rk, counts, &reply.text)) continue;
-    ops.push_back(BurstOp{&cmd, 0, claimed - 1, now, rk,
-                          server_->ShardForKey(rk.key_id)});
   }
 
   // Group by shard, in stream order within a shard. Keeping same-shard —

@@ -14,9 +14,13 @@
 //    collisions alias two text keys to one cache slot (last writer wins);
 //    at memcached-realistic key counts the probability is negligible.
 //  - App routing. Keys of the form "app<digits>:<rest>" route to that
-//    registered application; everything else goes to the default app (the
-//    listen port's tenant). Ops for unregistered apps fail softly (miss /
-//    SERVER_ERROR) rather than mutating anything.
+//    application; everything else goes to the default app (the listen
+//    port's tenant). Whether the app exists is decided by the shard's
+//    CacheServer under its lock, so the adapter follows apps added and
+//    removed while it runs. An op for an app the server does not hold
+//    fails softly rather than mutating anything: a store is refused with
+//    SERVER_ERROR before a cas is minted, and every other verb takes the
+//    core's soft failure (a get misses, the rest reply NOT_FOUND).
 //  - Presence. add/replace/cas/incr/decr/append/prepend/touch decide
 //    presence from the core directly (PeekByKey: resident, unexpired,
 //    unflushed — statistics-neutral). There is no window between an
@@ -143,10 +147,10 @@ struct CacheAdapterConfig {
 class CacheAdapter final : public CommandHandler {
  public:
   // `server` must be constructed with ServerConfig::store_values = true
-  // and outlive the adapter. Routing reads the server's app list once,
-  // here: register every app before building the adapter. An app removed
-  // from the server afterwards soft-fails in the core, but only once the
-  // adapter holds no borrow of its values (CacheServer::RemoveApp).
+  // and outlive the adapter. Apps may be added and removed while the
+  // adapter runs (see "App routing" above); an app may only be removed
+  // once the adapter holds no borrow of its values
+  // (CacheServer::RemoveApp).
   CacheAdapter(ShardedCacheServer* server, const CacheAdapterConfig& config);
   ~CacheAdapter() override;
   CacheAdapter(const CacheAdapter&) = delete;
@@ -224,7 +228,6 @@ class CacheAdapter final : public CommandHandler {
   struct RoutedKey {
     uint32_t app_id = 0;
     uint64_t key_id = 0;
-    bool app_known = false;
   };
 
   [[nodiscard]] RoutedKey Route(std::string_view key) const;
@@ -241,18 +244,12 @@ class CacheAdapter final : public CommandHandler {
   // it down.
   CounterBlock& LocalCounters();
 
-  // Counts the command and, when its app is unknown, emits the verb's
-  // soft-failure response (ExecuteShardedRun runs it at collection, before
-  // taking any lock). Returns true when the command should proceed to its
-  // shard op.
-  bool CountAndAdmit(const Command& cmd, const RoutedKey& rk,
-                     CounterBlock& counts, std::string* out);
-
   // Locked per-op executors: the memcached semantics of one operation,
   // expressed over the value verbs of rk's shard's CacheServer (`core`),
   // reached through the ShardBatch that ExecuteShardedRun holds for that
-  // shard. Pre for all: rk.app_known true, CountAndAdmit (or the per-key
-  // get admission) already ran, the batch holds rk's shard.
+  // shard. Pre for all: the batch holds rk's shard. Pre for StoreLocked
+  // and ConcatLocked: rk's app exists (ExecuteOpLocked refuses a store to
+  // an app the core does not hold).
   //
   // GetKeyLocked serves a hit: the VALUE header goes into reply->text; a
   // payload of kMinBorrowBytes or more is borrowed from the arena under a
@@ -305,8 +302,6 @@ class CacheAdapter final : public CommandHandler {
 
   ShardedCacheServer* server_;
   CacheAdapterConfig config_;
-  // The server's apps at construction, sorted: what Route() admits.
-  const std::vector<uint32_t> app_ids_;
   // Process-unique, never reused: the key of this adapter's entry in each
   // thread's counter-block list (an address could belong to a destroyed
   // adapter).

@@ -304,7 +304,7 @@ TEST(CoreExpiry, ValueVerbsShareOneLivenessRule) {
           const ValueOutcome vo =
               server.GetByKey(kValueApp, kValueKey, kValueKeySize, now, flush);
           EXPECT_EQ(vo.valid, live);
-          EXPECT_EQ(vo.expired, state.want == Want::kExpired);
+          EXPECT_EQ(vo.outcome.expired, state.want == Want::kExpired);
           EXPECT_EQ(vo.flush_reclaimed, state.want == Want::kFlushed);
           // An expired GET is a counted miss; a flushed one is reclaimed
           // without touching the statistics.
@@ -318,7 +318,7 @@ TEST(CoreExpiry, ValueVerbsShareOneLivenessRule) {
           const ValueOutcome vo =
               server.PeekByKey(kValueApp, kValueKey, now, flush);
           EXPECT_EQ(vo.valid, live);
-          EXPECT_EQ(vo.expired, state.want == Want::kExpired);
+          EXPECT_EQ(vo.outcome.expired, state.want == Want::kExpired);
           EXPECT_EQ(vo.flush_reclaimed, state.want == Want::kFlushed);
           if (live) {
             EXPECT_EQ(vo.view.size, At(kValueKey, 0).value_size);

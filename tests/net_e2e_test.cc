@@ -1942,6 +1942,36 @@ TEST_F(AdapterCounters, AlternatingAdaptersKeepOneBlockPerThread) {
   EXPECT_EQ(second.counters().cmd_get, 20u);
 }
 
+TEST_F(AdapterCounters, RoutingFollowsAppsAddedAndRemovedAfterConstruction) {
+  server_.AddApp(2, 4 * kMiB);
+  net::CacheAdapter adapter(&server_, adapter_config_);
+
+  // A removed app refuses stores before anything reaches its gone tenant.
+  ASSERT_TRUE(server_.RemoveApp(2));
+  const net::CacheAdapter::Counters before = adapter.counters();
+  std::string reply;
+  Burst(adapter, "set app2:k 0 0 1\r\nx\r\nadd app2:j 0 0 1\r\ny\r\n",
+        &reply);
+  EXPECT_EQ(reply,
+            "SERVER_ERROR unknown application\r\n"
+            "SERVER_ERROR unknown application\r\n");
+  const net::CacheAdapter::Counters after = adapter.counters();
+  EXPECT_EQ(after.store_rejected - before.store_rejected, 2u);
+  EXPECT_EQ(after.bytes_read, before.bytes_read);
+  reply.clear();
+  Burst(adapter, "get app2:k\r\n", &reply);
+  EXPECT_EQ(reply, "END\r\n");
+  EXPECT_EQ(adapter.counters().get_misses - after.get_misses, 1u);
+
+  // An app added after the adapter was built is served.
+  server_.AddApp(3, 4 * kMiB);
+  reply.clear();
+  Burst(adapter, "set app3:k 0 0 2\r\nzz\r\nget app3:k\r\n", &reply);
+  EXPECT_EQ(reply, "STORED\r\nVALUE app3:k 0 2\r\nzz\r\nEND\r\n");
+  EXPECT_EQ(server_.AppStats(3).sets, 1u);
+  EXPECT_TRUE(server_.CheckInvariants());
+}
+
 // A burst serves the shards whose locks are free first and waits for a
 // busy one last, instead of queueing behind it in shard order.
 class AdapterShardLocks : public AdapterCounters {};
