@@ -179,7 +179,6 @@ Row RunSharded(const Trace& trace, bool cliffhanger, size_t threads,
   config.server =
       cliffhanger ? CliffhangerServerConfig() : DefaultServerConfig();
   config.num_shards = kNumShards;
-  config.rebalance_interval_ops = 100000;
   ShardedCacheServer server(config);
   server.AddApp(kAppId, kReservation);
 
@@ -311,7 +310,6 @@ Row RunAdapterBursts(const ParsedRequests& fill, const ParsedRequests& replay,
   config.server = CliffhangerServerConfig();
   config.server.store_values = true;
   config.num_shards = kAdapterShards;
-  config.rebalance_interval_ops = 100000;
   ShardedCacheServer server(config);
   server.AddApp(kAppId, kReservation);
   net::CacheAdapterConfig adapter_config;

@@ -15,6 +15,13 @@
 // value's bytes depend only on its key id and position, so the prefix
 // names the key; a full compare would bound the client at 64 KiB values.
 //
+// A row's timed window opens once every connection has connected and built
+// its trace: they wait at a start gate, which releases them together. The
+// window closes when the last connection finishes its requests, so thread
+// start, connect and trace generation stay outside it, and the stragglers'
+// tail (the last connections running after the others are done) stays
+// inside it.
+//
 // Emits one JSON object on stdout ({"benchmark", "hardware_concurrency",
 // ..., "results": [...]}); progress goes to stderr. A failed request or a
 // wrong GET hit exits 1.
@@ -37,9 +44,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,6 +67,8 @@
 
 namespace cliffhanger {
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 constexpr uint64_t kUniverse = 20000;   // key universe per connection stream
 constexpr double kGetFraction = 0.967;  // GET share of the plain mix (ETC)
@@ -92,6 +103,7 @@ struct Tally {
   uint64_t wrong_hits = 0;     // a GET hit that is not the key's own value
   uint64_t cas_conflicts = 0;  // EXISTS/NOT_FOUND races: legal outcomes
   uint64_t errors = 0;
+  Clock::time_point end{};  // when the connection's last request returned
 
   void Merge(const Tally& other) {
     for (size_t v = 0; v < kVerbs; ++v) {
@@ -107,6 +119,37 @@ struct Tally {
   }
 };
 
+// Holds a row's connections until every one has checked in, then releases
+// them together; the row's timed window opens at the release.
+class StartGate {
+ public:
+  explicit StartGate(size_t connections) : pending_(connections) {}
+
+  // A connection checks in, connected or not, and waits for the release.
+  void ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (--pending_ == 0) cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+  // Waits for every connection to check in, then releases them. Returns
+  // the release time.
+  Clock::time_point OpenWhenAllArrived() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return pending_ == 0; });
+    open_ = true;
+    const Clock::time_point release = Clock::now();
+    cv_.notify_all();
+    return release;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t pending_;
+  bool open_ = false;
+};
+
 // True when `data` is key `id`'s value of `size` bytes (see the header).
 bool IsReplayValue(uint64_t id, uint32_t size, const std::string& data) {
   const std::string prefix =
@@ -117,15 +160,17 @@ bool IsReplayValue(uint64_t id, uint32_t size, const std::string& data) {
 // One connection's closed loop over a private Zipf stream. Plain rows
 // replay the trace's GET/SET mix; --mix rolls each request's verb from a
 // seeded RNG instead: 60% get, 15% set, 10% incr, 10% touch, 5% cas. A GET
-// miss is filled with a set, as a demand-fill client does.
+// miss is filled with a set, as a demand-fill client does. The loop starts
+// when `gate` opens.
 Tally RunConnection(const Options& opt, uint64_t value_size,
-                    size_t conn_index) {
+                    size_t conn_index, StartGate* gate) {
   Tally tally;
   net::AsciiClient client;
   if (!client.Connect(opt.host, opt.port)) {
     std::fprintf(stderr, "netperf: connect failed: %s\n",
                  client.last_error().c_str());
     tally.errors = 1;
+    gate->ArriveAndWait();  // a missing check-in would hang the row
     return tally;
   }
 
@@ -142,12 +187,11 @@ Tally RunConnection(const Options& opt, uint64_t value_size,
   const Trace trace = MakeZipfMixTrace(spec);
   Rng rng(kSeed ^ (0x313A0 + conn_index));
 
-  using clock = std::chrono::steady_clock;
   const auto timed = [&](Verb verb, const auto& call) {
-    const auto begin = clock::now();
+    const auto begin = Clock::now();
     call();
     tally.latencies_us[verb].push_back(
-        std::chrono::duration<double, std::micro>(clock::now() - begin)
+        std::chrono::duration<double, std::micro>(Clock::now() - begin)
             .count());
   };
   const auto set = [&](const std::string& key, const std::string& data) {
@@ -169,6 +213,7 @@ Tally RunConnection(const Options& opt, uint64_t value_size,
     return true;
   };
 
+  gate->ArriveAndWait();
   for (const Request& r : trace) {
     const uint64_t id = r.key | value_size << 32;
     const auto size =
@@ -246,6 +291,7 @@ Tally RunConnection(const Options& opt, uint64_t value_size,
         break;
     }
   }
+  tally.end = Clock::now();
   client.Quit();
   return tally;
 }
@@ -253,7 +299,7 @@ Tally RunConnection(const Options& opt, uint64_t value_size,
 // One JSON row over `samples`. "ops", not "requests": the
 // client calls actually measured (gets plus demand-fill sets), so it
 // depends on the hit rate by design; ops_per_sec is that rate over the
-// whole row's wall time.
+// row's timed window (see the header).
 void AddRow(bench::BenchJsonWriter* json, const std::string& name,
             size_t connections, uint64_t value_size, uint64_t gets,
             uint64_t hits, const std::vector<double>& samples,
@@ -285,19 +331,18 @@ bool RunRows(const Options& opt, size_t connections, uint64_t value_size,
   std::fprintf(stderr, "netperf: %s, %llu requests per connection...\n",
                name.c_str(), static_cast<unsigned long long>(opt.requests));
   std::vector<Tally> tallies(connections);
-  const auto begin = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(connections);
-    for (size_t c = 0; c < connections; ++c) {
-      threads.emplace_back(
-          [&, c] { tallies[c] = RunConnection(opt, value_size, c); });
-    }
-    for (std::thread& thread : threads) thread.join();
+  StartGate gate(connections);
+  std::vector<std::thread> threads;
+  threads.reserve(connections);
+  for (size_t c = 0; c < connections; ++c) {
+    threads.emplace_back(
+        [&, c] { tallies[c] = RunConnection(opt, value_size, c, &gate); });
   }
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - begin)
-                             .count();
+  const Clock::time_point begin = gate.OpenWhenAllArrived();
+  for (std::thread& thread : threads) thread.join();
+  Clock::time_point end = begin;
+  for (const Tally& tally : tallies) end = std::max(end, tally.end);
+  const double seconds = std::chrono::duration<double>(end - begin).count();
 
   Tally total;
   for (const Tally& tally : tallies) total.Merge(tally);

@@ -185,7 +185,6 @@ bool RunScale(size_t num_tenants, uint64_t phase_ops, ScaleReport* report) {
   report->warm.seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
   report->reserved_warm = server.TotalReservation();
-  server.Rebalance();
 
   // Churn: waves of departures and arrivals under continuing traffic. The
   // oldest tenants leave; their reservations flow to the survivors
@@ -212,7 +211,6 @@ bool RunScale(size_t num_tenants, uint64_t phase_ops, ScaleReport* report) {
       return false;
     }
     RunTraffic(server, live, rng, phase_ops / kChurnWaves, &report->churn);
-    server.Rebalance();
   }
   report->churn.seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();

@@ -145,7 +145,7 @@ class PartitionedSlabQueue final : public ClassQueue {
   void SetRatio(double ratio);
   [[nodiscard]] double ratio() const { return ratio_; }
   // Physical sizes of the two queues, in items; their sum should equal
-  // capacity_items() (Algorithm 3 maintains this). Also rebalances the hill
+  // capacity_items() (Algorithm 3 maintains this). Also re-splits the hill
   // shadow in proportion to the partition sizes (§5.1).
   void SetPartitionItems(uint64_t left_items, uint64_t right_items);
 

@@ -780,7 +780,7 @@ const AppCache* CacheServer::app(uint32_t app_id) const {
 // on the RemoveApp race with in-flight daemon ops.
 
 Outcome CacheServer::Get(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   if (a == nullptr) {
     Outcome o;
     o.cacheable = false;
@@ -790,24 +790,24 @@ Outcome CacheServer::Get(uint32_t app_id, const ItemMeta& item) {
 }
 
 bool CacheServer::Set(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   return a != nullptr && a->Set(item);
 }
 
 bool CacheServer::Touch(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   return a != nullptr && a->Touch(item);
 }
 
 void CacheServer::Delete(uint32_t app_id, const ItemMeta& item) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   if (a != nullptr) a->Delete(item);
 }
 
 ValueOutcome CacheServer::GetByKey(uint32_t app_id, uint64_t key,
                                    uint32_t key_size, uint32_t now_s,
                                    uint32_t flush_at_s, ValueLease* lease) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   if (a == nullptr) {
     ValueOutcome vo;
     vo.outcome.cacheable = false;
@@ -818,7 +818,7 @@ ValueOutcome CacheServer::GetByKey(uint32_t app_id, uint64_t key,
 
 ValueOutcome CacheServer::PeekByKey(uint32_t app_id, uint64_t key,
                                     uint32_t now_s, uint32_t flush_at_s) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   if (a == nullptr) {
     ValueOutcome vo;
     vo.outcome.cacheable = false;
@@ -829,7 +829,7 @@ ValueOutcome CacheServer::PeekByKey(uint32_t app_id, uint64_t key,
 
 bool CacheServer::SetValue(uint32_t app_id, const ItemMeta& item,
                            const void* data, uint32_t flags, uint64_t cas) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   return a != nullptr && a->SetValue(item, data, flags, cas);
 }
 
@@ -837,7 +837,7 @@ ReplaceResult CacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
                                         uint32_t key_size, const void* data,
                                         uint32_t size, uint64_t cas,
                                         uint32_t now_s) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   if (a == nullptr) return ReplaceResult::kFailed;
   return a->ReplaceValue(key, key_size, data, size, cas, now_s);
 }
@@ -845,14 +845,14 @@ ReplaceResult CacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
 bool CacheServer::TouchByKey(uint32_t app_id, uint64_t key, uint32_t key_size,
                              uint32_t expiry_s, uint32_t now_s,
                              uint32_t flush_at_s) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   return a != nullptr &&
          a->TouchByKey(key, key_size, expiry_s, now_s, flush_at_s);
 }
 
 bool CacheServer::DeleteByKey(uint32_t app_id, uint64_t key, uint32_t now_s,
                               uint32_t flush_at_s) {
-  AppCache* a = Serve(app_id);
+  AppCache* a = app(app_id);
   return a != nullptr && a->DeleteByKey(key, now_s, flush_at_s);
 }
 

@@ -335,10 +335,6 @@ class CacheServer {
   bool DeleteByKey(uint32_t app_id, uint64_t key, uint32_t now_s,
                    uint32_t flush_at_s);
 
-  [[nodiscard]] const ServerConfig& config() const { return config_; }
-  // Calls of the routed verbs above served so far, soft-failed ones
-  // included: the op count ShardedCacheServer's rebalance cadence reads.
-  [[nodiscard]] uint64_t ops_served() const { return ops_served_; }
   [[nodiscard]] ClassStats TotalStats() const;
   [[nodiscard]] std::vector<uint32_t> app_ids() const;
   [[nodiscard]] size_t num_apps() const { return apps_.size(); }
@@ -350,11 +346,6 @@ class CacheServer {
  private:
   friend class AppCache;
   class AppAdapter;
-  // Every routed verb starts here: counts the call, then finds the app.
-  [[nodiscard]] AppCache* Serve(uint32_t app_id) {
-    ++ops_served_;
-    return app(app_id);
-  }
   // Aggregate per-app shadow signal feeding the cross-app climber. `weight`
   // is the cliff-aware gradient amplification (1.0 off-cliff).
   void OnAppShadowHit(size_t app_index, double weight);
@@ -368,7 +359,6 @@ class CacheServer {
   // Indexed by HillClimber slot; tombstoned (nullptr) after RemoveApp until
   // a later AddApp reuses the slot.
   std::vector<std::unique_ptr<AppAdapter>> app_adapters_;
-  uint64_t ops_served_ = 0;
 };
 
 }  // namespace cliffhanger

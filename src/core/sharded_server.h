@@ -14,7 +14,7 @@
 //    key that hashes to it, so a burst of operations on that shard pays for
 //    one acquisition. The routed verbs (Get/Set/...) are each a one-op
 //    batch on the shard the key hashes to, so both paths share one locking
-//    discipline and one rebalance cadence. Ops on different shards act on
+//    discipline. Ops on different shards act on
 //    disjoint cache state and same-key ops always hash to the same shard,
 //    so a caller that groups its ops by ShardForKey (stream order kept
 //    within a shard) and opens one batch per shard gets the same cache
@@ -26,17 +26,16 @@
 //  - Statistics have one set of books: each shard's CacheServer counts its
 //    own, under its lock. MergedStats() and the per-app accessors take
 //    every shard lock (in index order) for an exact, mutually consistent
-//    snapshot; ShardStats() takes one.
-//  - An application's reservation is split across shards (largest-remainder,
-//    so the split always sums to the registered total). A periodic rebalance
-//    re-divides each app's total in proportion to the shards' hill-shadow
-//    hit rates — the same signal Algorithm 1 uses — so static hash
-//    partitioning cannot starve a shard that would profit from more memory.
-//    Its cadence counts the routed-verb calls each shard's CacheServer
-//    served (CacheServer::ops_served), published when a batch ends.
+//    snapshot; ShardStats() takes one. No cache verb takes more than one
+//    shard lock: only these snapshots and RemoveApp take them all.
+//  - AddApp splits an application's reservation across the shards once
+//    (largest remainder, so the shares sum to the registered total), and
+//    the split is final. Keys are hash-partitioned, so the shards see
+//    statistically alike slices of every app. Memory moves only inside a
+//    shard: between its slab classes (Algorithm 1) and, under cross_app,
+//    between its apps.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -55,9 +54,9 @@ struct ShardedServerConfig {
   // hashing the shard index into `server.seed`.
   ServerConfig server;
   size_t num_shards = 4;
-  // A rebalance triggers whenever any single shard has served this many
-  // operations since its last trigger (counted per shard so the hot path
-  // never touches a shared counter line). 0 = only explicit Rebalance().
+  // Read by nothing. It stays declared only because
+  // perfbench/src/workload.cc sets it, and perfbench/ changes only together
+  // with the benchmark; ROADMAP item 6 deletes it with that write.
   uint64_t rebalance_interval_ops = 0;
 };
 
@@ -78,10 +77,8 @@ class ShardedCacheServer {
   // CacheServer::RemoveApp). Safe to call concurrently with traffic —
   // in-flight ops that already routed to the app soft-fail once the shard
   // lock serializes them behind the removal. In cross-app mode each shard
-  // redistributes the departing share to its surviving tenants (conserving
-  // the shard total) and the registered app totals are refreshed from the
-  // live shard sums so the next Rebalance cannot claw the windfall back.
-  // Returns false for an unknown app.
+  // redistributes the departing share to its surviving tenants, conserving
+  // the shard total. Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
 
   // Thread-safe routed operations: each runs the CacheServer verb of the
@@ -112,12 +109,9 @@ class ShardedCacheServer {
 
   // A locked handle to one shard's CacheServer: it holds the shard's lock
   // until it dies, so a caller that has already grouped its ops by shard
-  // pays one lock acquisition per burst instead of one per op. The
-  // destructor releases the lock, then advances the rebalance cadence by
-  // the ops the shard served meanwhile, which may fire Rebalance().
+  // pays one lock acquisition per burst instead of one per op.
   class ShardBatch {
    public:
-    ~ShardBatch();
     ShardBatch(const ShardBatch&) = delete;
     ShardBatch& operator=(const ShardBatch&) = delete;
 
@@ -138,8 +132,7 @@ class ShardedCacheServer {
       return *server_;
     }
     // Returns a lease a GetByKey took on this shard; a slot retired while
-    // leased goes back on its free-list with its last lease. Not an op:
-    // it does not advance the rebalance cadence.
+    // leased goes back on its free-list with its last lease.
     void ReturnLease(const ValueLease& lease);
 
     // server(key).GetByKey and server(key).SetValue under the names
@@ -167,7 +160,6 @@ class ShardedCacheServer {
     CacheServer* server_;
     size_t shard_index_;
     std::unique_lock<std::mutex> lock_;
-    uint64_t ops_at_open_ = 0;  // server_->ops_served() once locked
   };
 
   // Opens a batch on one shard (locks it until the ShardBatch dies).
@@ -182,7 +174,6 @@ class ShardedCacheServer {
   [[nodiscard]] size_t ShardForKey(uint64_t key) const {
     return ShardIndexForKey(key, num_shards_);
   }
-  [[nodiscard]] const ShardedServerConfig& config() const { return config_; }
 
   // Exact snapshots straight from the shards' own statistics. MergedStats
   // holds every shard lock at once, so the merge is mutually consistent.
@@ -208,27 +199,23 @@ class ShardedCacheServer {
   [[nodiscard]] ValueStats MergedValueStats() const;
 
   // Per-app views. AppStats holds every shard lock for a consistent
-  // cross-shard sum; AppReservation is the registered total (O(1), no
-  // shard locks — rebalancing conserves it by construction);
-  // AppShardReservation reads one shard's current share.
+  // cross-shard sum; AppReservation is the total AddApp registered (no
+  // shard lock); AppShardReservation reads one shard's current share,
+  // which under cross_app the shard's cross-app climber moves.
   [[nodiscard]] ClassStats AppStats(uint32_t app_id) const;
   [[nodiscard]] uint64_t AppReservation(uint32_t app_id) const;
   [[nodiscard]] uint64_t AppShardReservation(uint32_t app_id,
                                              size_t shard) const;
   [[nodiscard]] std::vector<uint32_t> app_ids() const;
 
-  // Re-divides every app's total reservation across shards toward each
-  // shard's share of hill-shadow hits since the previous rebalance. Also
-  // runs automatically every `rebalance_interval_ops` operations. In
-  // cross-app mode the per-app totals are first refreshed from the live
-  // shard sums (the cross-app climber moves memory between apps inside
-  // each shard, so the registered totals go stale between rebalances).
-  void Rebalance();
-  [[nodiscard]] uint64_t rebalance_count() const;
+  // Always 0: nothing moves memory across shards. It stays only because
+  // perfbench/src/main.cc reads it, and perfbench/ changes only together
+  // with the benchmark; ROADMAP item 6 deletes it with that read.
+  [[nodiscard]] uint64_t rebalance_count() const { return 0; }
 
   // Sum of the live reservations across every shard and app, under all
-  // locks. Conserved by climber transfers, rebalances, and cross-app
-  // removals (while at least one tenant survives).
+  // locks. Conserved by climber transfers and by cross-app removals (while
+  // at least one tenant survives).
   [[nodiscard]] uint64_t TotalReservation() const;
 
   // Runs every shard's CacheServer::CheckInvariants under all locks; with
@@ -239,17 +226,8 @@ class ShardedCacheServer {
  private:
   struct Shard;
 
-  // Called by ~ShardBatch after it released its shard's lock, with the
-  // shard's ops_served() when the batch took the lock and when it let go:
-  // fires Rebalance() when that span crosses a rebalance_interval_ops
-  // boundary (for one op, the classic "every interval-th op" trigger).
-  void AdvanceRebalanceCadence(uint64_t ops_before, uint64_t ops_after);
-  void RebalanceAppLocked(uint32_t app_id, uint64_t total_reservation);
-  // Pre: apps_mu_ and every shard lock held. Re-reads each app's live
-  // cross-shard reservation sum into app_totals_.
-  void RefreshAppTotalsLocked();
   // Acquires every shard mutex in ascending index order (the lock-order
-  // rule); all whole-server snapshots and the rebalancer go through this.
+  // rule); RemoveApp and every whole-server snapshot go through this.
   [[nodiscard]] std::vector<std::unique_lock<std::mutex>> LockAllShards()
       const;
 
@@ -260,8 +238,6 @@ class ShardedCacheServer {
   // Lock order: apps_mu_ first, then shard mutexes in ascending index order.
   mutable std::mutex apps_mu_;
   std::map<uint32_t, uint64_t> app_totals_;  // registered reservation per app
-
-  std::atomic<uint64_t> rebalances_{0};
 };
 
 }  // namespace cliffhanger

@@ -490,7 +490,6 @@ void CacheAdapter::HandleStats(std::string* out) {
   AppendStat(out, "cliffhanger_tail_hits", core.tail_hits);
   AppendStat(out, "cliffhanger_cliff_shadow_hits", core.cliff_shadow_hits);
   AppendStat(out, "cliffhanger_hill_shadow_hits", core.hill_shadow_hits);
-  AppendStat(out, "cliffhanger_rebalances", server_->rebalance_count());
 
   // Per-class arena occupancy (memcached's `stats slabs` shape, inlined
   // into the general stats block): chunk geometry and chunks in use.
@@ -712,8 +711,7 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                [](size_t i) { return ops[i].shard; });
 
   // Execution: one core ShardBatch (shard lock) per shard per run, free
-  // shards first, each released as soon as its group ends; ~ShardBatch then
-  // advances the rebalance cadence.
+  // shards first, each released as soon as its group ends.
   RunGroupsFreeShardsFirst(
       server_, &buckets.groups,
       [&](ShardedCacheServer::ShardBatch& batch, const ShardGroup& group) {

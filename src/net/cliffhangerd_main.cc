@@ -59,7 +59,8 @@ void Usage(const char* argv0) {
       "  --app ID:MB       register app ID with MB MiB (repeatable;\n"
       "                    default 1:64)\n"
       "  --default-app ID  app for un-prefixed keys (default: first --app)\n"
-      "  --rebalance-ops N shard rebalance interval (default 100000)\n",
+      "Each app's memory is split evenly across the shards at startup;\n"
+      "the controllers move it only within a shard.\n",
       argv0);
 }
 
@@ -69,7 +70,6 @@ int Main(int argc, char** argv) {
   size_t shards = 4;
   bool cliffhanger_mode = true;
   EvictionScheme eviction = EvictionScheme::kLru;
-  uint64_t rebalance_ops = 100000;
   std::vector<AppSpec> apps;
   uint32_t default_app = 0;
   bool default_app_set = false;
@@ -162,11 +162,6 @@ int Main(int argc, char** argv) {
       }
       default_app = static_cast<uint32_t>(parsed);
       default_app_set = true;
-    } else if (std::strcmp(argv[i], "--rebalance-ops") == 0) {
-      const char* v = next();
-      if (v == nullptr || !ParseUint(v, &rebalance_ops)) {
-        return Usage(argv[0]), 1;
-      }
     } else if (std::strcmp(argv[i], "--help") == 0) {
       Usage(argv[0]);
       return 0;
@@ -201,7 +196,6 @@ int Main(int argc, char** argv) {
   // arenas (zero-copy GET), not in an adapter side table.
   config.server.store_values = true;
   config.num_shards = shards;
-  config.rebalance_interval_ops = rebalance_ops;
   ShardedCacheServer server(config);
   for (const AppSpec& spec : apps) {
     server.AddApp(spec.app_id, spec.reservation_mb << 20);

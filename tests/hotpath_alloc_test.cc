@@ -99,9 +99,6 @@ struct HotPathRig {
     config.server = server_config;
     config.server.store_values = true;
     config.num_shards = 2;
-    // The rebalancer allocates when it fires; it is cadence-driven, not
-    // hot-path, so park it far beyond this test's op count.
-    config.rebalance_interval_ops = 1ULL << 40;
     return config;
   }
 
@@ -268,7 +265,6 @@ struct AdapterRig {
         cliffhanger ? CliffhangerServerConfig() : DefaultServerConfig();
     config.server.store_values = true;
     config.num_shards = 2;
-    config.rebalance_interval_ops = 1ULL << 40;  // see HotPathRig
     return config;
   }
 

@@ -1246,7 +1246,6 @@ TEST_P(NetE2eTest, SocketReplayIsBitIdenticalToLibraryReplay) {
   config.server = CliffhangerServerConfig();
   config.server.store_values = true;  // both passes serve real bytes
   config.num_shards = 4;
-  config.rebalance_interval_ops = 4096;
   constexpr uint32_t kApp = 1;
   // Far below the trace's ~1.9 MiB unique footprint, so the replay runs in
   // the eviction + shadow-traffic regime the controllers live on.
@@ -1457,8 +1456,8 @@ class FullVerbReplay {
 
  private:
   // Locks key_id's shard until the end of the caller's full-expression, so
-  // Lock(k).server(k).Verb(...) runs one verb under the shard lock and
-  // counts it toward the rebalance cadence, as a routed verb would.
+  // Lock(k).server(k).Verb(...) runs one verb under the shard lock, as a
+  // routed verb would.
   ShardedCacheServer::ShardBatch Lock(uint64_t key_id) {
     return server_->BeginBatch(server_->ShardForKey(key_id));
   }
@@ -1584,7 +1583,6 @@ TEST_P(NetE2eTest, FullVerbSocketReplayIsBitIdenticalToLibraryReplay) {
   config.server = CliffhangerServerConfig();
   config.server.store_values = true;  // both passes serve real bytes
   config.num_shards = 4;
-  config.rebalance_interval_ops = 4096;
   constexpr uint32_t kApp = 1;
   constexpr uint64_t kReservation = 1 * kMiB;
   const std::vector<ScriptOp> script = MakeFullVerbScript();

@@ -62,7 +62,6 @@ class ShardDeterminism : public ::testing::TestWithParam<ShardCase> {
                         ? CliffhangerServerConfig()
                         : DefaultServerConfig();
     config.num_shards = num_shards;
-    config.rebalance_interval_ops = 20000;
     return config;
   }
 

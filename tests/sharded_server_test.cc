@@ -5,15 +5,14 @@
 //   - every cacheable operation is counted exactly once (no lost updates),
 //   - the merged snapshot equals the sum of the per-shard and of the
 //     per-app snapshots,
-//   - every app's reservation stays conserved across shards even while the
-//     shadow-signal rebalancer is re-dividing it.
+//   - every app's per-shard shares stay exactly the largest-remainder split
+//     AddApp made: memory moves only inside a shard, never across shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,23 +47,23 @@ void ExpectStatsEqual(const ClassStats& a, const ClassStats& b,
   EXPECT_EQ(a.hill_shadow_hits, b.hill_shadow_hits) << label;
 }
 
-// The conservation invariant under test: the shards' current shares must
-// sum to the registered total at any observable moment.
-uint64_t SumShardReservations(const ShardedCacheServer& server,
-                              uint32_t app_id) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < server.num_shards(); ++i) {
-    total += server.AppShardReservation(app_id, i);
+// The split invariant under test: shard i holds AddApp's largest-remainder
+// share of the registered total — floor(total / N), plus one byte on the
+// first total % N shards — so the shares also sum to the total.
+void ExpectAddAppSplit(const ShardedCacheServer& server, uint32_t app_id,
+                       uint64_t total) {
+  const size_t n = server.num_shards();
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(server.AppShardReservation(app_id, i),
+              total / n + (i < total % n ? 1 : 0))
+        << "app " << app_id << ", shard " << i;
   }
-  return total;
 }
 
-ShardedServerConfig HammerConfig(size_t num_shards,
-                                 uint64_t rebalance_interval) {
+ShardedServerConfig HammerConfig(size_t num_shards) {
   ShardedServerConfig config;
   config.server = CliffhangerServerConfig();
   config.num_shards = num_shards;
-  config.rebalance_interval_ops = rebalance_interval;
   return config;
 }
 
@@ -105,8 +104,7 @@ WorkerTally Hammer(ShardedCacheServer& server, uint32_t thread_id,
 TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 25000;
-  ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
-                                         /*rebalance_interval=*/20000));
+  ShardedCacheServer server(HammerConfig(/*num_shards=*/4));
   server.AddApp(kAppA, kReservationA);
   server.AddApp(kAppB, kReservationB);
 
@@ -148,13 +146,38 @@ TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
   per_app_sum += server.AppStats(kAppB);
   ExpectStatsEqual(total, per_app_sum, "total vs per-app sum");
 
-  // Rebalancing ran and conserved each tenant's total reservation: the
-  // per-shard shares sum to the registered total.
-  EXPECT_GT(server.rebalance_count(), 0u);
+  // Each tenant keeps its registered total and AddApp's split of it.
   EXPECT_EQ(server.AppReservation(kAppA), kReservationA);
   EXPECT_EQ(server.AppReservation(kAppB), kReservationB);
-  EXPECT_EQ(SumShardReservations(server, kAppA), kReservationA);
-  EXPECT_EQ(SumShardReservations(server, kAppB), kReservationB);
+  ExpectAddAppSplit(server, kAppA, kReservationA);
+  ExpectAddAppSplit(server, kAppB, kReservationB);
+}
+
+// The hammer's stream, replayed on one thread with reservations small
+// enough that the climbers trade memory inside every shard: no shard's
+// share of either app moves, however uneven the shards' shadow signals.
+TEST(ShardedServerTest, ShardSplitHoldsUnderMemoryPressure) {
+  constexpr uint64_t kSmallA = 1ULL << 20;    // 1 MiB
+  constexpr uint64_t kSmallB = 512ULL << 10;  // 512 KiB
+  ShardedCacheServer server(HammerConfig(/*num_shards=*/4));
+  server.AddApp(kAppA, kSmallA);
+  server.AddApp(kAppB, kSmallB);
+
+  const ZipfTable zipf(20000, 0.9);
+  for (uint32_t stream = 0; stream < 4; ++stream) {
+    Hammer(server, stream, 25000, zipf);
+    ExpectAddAppSplit(server, kAppA, kSmallA);
+    ExpectAddAppSplit(server, kAppB, kSmallB);
+  }
+
+  // The split held under pressure, not for want of it: every shard missed
+  // and saw hill-shadow hits, the signal its climber moves memory on.
+  for (size_t i = 0; i < server.num_shards(); ++i) {
+    const ClassStats shard = server.ShardStats(i);
+    EXPECT_LT(shard.hits * 10, shard.gets * 9) << "shard " << i;
+    EXPECT_GT(shard.hill_shadow_hits, 0u) << "shard " << i;
+  }
+  EXPECT_TRUE(server.CheckInvariants());
 }
 
 // Readers taking snapshots race the writers; under ThreadSanitizer this
@@ -163,8 +186,7 @@ TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
 TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
   constexpr size_t kWriters = 2;
   constexpr size_t kOpsPerThread = 15000;
-  ShardedCacheServer server(HammerConfig(/*num_shards=*/2,
-                                         /*rebalance_interval=*/10000));
+  ShardedCacheServer server(HammerConfig(/*num_shards=*/2));
   server.AddApp(kAppA, kReservationA);
   server.AddApp(kAppB, kReservationB);
 
@@ -182,7 +204,6 @@ TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
       last_gets = total.gets;
       (void)server.ShardStats(0);
       (void)server.AppReservation(kAppA);
-      (void)server.rebalance_count();
     }
   });
   {
@@ -198,93 +219,8 @@ TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_FALSE(failed.load());
-  EXPECT_EQ(SumShardReservations(server, kAppA), kReservationA);
-  EXPECT_EQ(SumShardReservations(server, kAppB), kReservationB);
-}
-
-// An explicit Rebalance storm while traffic runs: reservations must stay
-// conserved at every step, and a shard that shows no shadow signal drifts
-// toward the even split rather than collapsing.
-TEST(ShardedServerTest, ManualRebalanceConservesAndEvens) {
-  ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
-                                         /*rebalance_interval=*/0));
-  server.AddApp(kAppA, kReservationA);
-
-  const ZipfTable zipf(5000, 0.9);
-  Rng rng(42);
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 2000; ++i) {
-      const ItemMeta item = MakeItem(zipf.Sample(rng));
-      if (!server.Get(kAppA, item).hit) server.Set(kAppA, item);
-    }
-    server.Rebalance();
-    EXPECT_EQ(SumShardReservations(server, kAppA), kReservationA)
-        << "round " << round;
-  }
-  EXPECT_EQ(server.rebalance_count(), 20u);
-
-  // With hash-balanced traffic no shard should end up starved: each holds
-  // at least half of the even share.
-  for (size_t i = 0; i < server.num_shards(); ++i) {
-    EXPECT_GE(server.AppShardReservation(kAppA, i),
-              kReservationA / server.num_shards() / 2)
-        << "shard " << i;
-  }
-}
-
-// The rebalance cadence counts every verb a shard's CacheServer serves,
-// whatever the verb: with an interval of N, one batch of N - 1 ops that
-// covers every value verb (a soft-failed one included; a lease return is
-// no op) fires no rebalance, and one more op fires exactly one.
-TEST(ShardedServerTest, RebalanceCadenceCountsEveryValueVerb) {
-  constexpr uint64_t kInterval = 12;
-  ShardedServerConfig config =
-      HammerConfig(/*num_shards=*/2, /*rebalance_interval=*/kInterval);
-  config.server.store_values = true;
-  ShardedCacheServer server(config);
-  server.AddApp(kAppA, kReservationA);
-
-  // Three keys of shard 0, so one batch serves them all.
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 1; keys.size() < 3; ++k) {
-    if (server.ShardForKey(k) == 0) keys.push_back(k);
-  }
-  constexpr uint32_t kKeySize = 16;
-  constexpr uint32_t kNow = 1;
-  const std::string value(100, 'v');
-  const std::string rewrite(100, 'w');
-  const auto item_of = [&](uint64_t key) {
-    ItemMeta item{key, kKeySize, static_cast<uint32_t>(value.size())};
-    item.now_s = kNow;
-    return item;
-  };
-  {
-    ShardedCacheServer::ShardBatch batch = server.BeginBatch(0);
-    CacheServer& shard = batch.server(keys[0]);
-    // 11 ops.
-    ASSERT_TRUE(shard.SetValue(kAppA, item_of(keys[0]), value.data(), 0, 1));
-    ASSERT_TRUE(shard.SetValue(kAppA, item_of(keys[1]), value.data(), 0, 2));
-    ValueLease lease;
-    ASSERT_TRUE(
-        shard.GetByKey(kAppA, keys[0], kKeySize, kNow, 0, &lease).valid);
-    batch.ReturnLease(lease);
-    EXPECT_TRUE(shard.GetByKey(kAppA, keys[1], kKeySize, kNow, 0).valid);
-    EXPECT_FALSE(shard.GetByKey(kAppA, keys[2], kKeySize, kNow, 0).valid);
-    EXPECT_TRUE(shard.PeekByKey(kAppA, keys[0], kNow, 0).valid);
-    EXPECT_EQ(shard.ReplaceValue(kAppA, keys[0], kKeySize, rewrite.data(),
-                                 static_cast<uint32_t>(rewrite.size()), 3,
-                                 kNow),
-              ReplaceResult::kInPlace);
-    EXPECT_TRUE(shard.TouchByKey(kAppA, keys[1], kKeySize, 0, kNow, 0));
-    EXPECT_TRUE(shard.DeleteByKey(kAppA, keys[1], kNow, 0));
-    EXPECT_FALSE(shard.DeleteByKey(kAppA, keys[2], kNow, 0));
-    EXPECT_FALSE(shard.GetByKey(kAppB, keys[0], kKeySize, kNow, 0).valid);
-  }
-  EXPECT_EQ(server.rebalance_count(), 0u);
-
-  const ValueOutcome last = server.GetValue(kAppA, keys[0], kKeySize, kNow, 0);
-  EXPECT_TRUE(last.valid);
-  EXPECT_EQ(server.rebalance_count(), 1u);
+  ExpectAddAppSplit(server, kAppA, kReservationA);
+  ExpectAddAppSplit(server, kAppB, kReservationB);
 }
 
 // --- Batch API equivalence -------------------------------------------------
@@ -345,13 +281,9 @@ void RunShardGrouped(ShardedCacheServer& server, const std::vector<Op>& ops,
 // routed Get/Set/Touch/Delete and one shard-grouped through ShardBatch in
 // bursts of awkward sizes. Batching groups ops by shard but must change
 // nothing observable: every per-op result, and the counters at every
-// aggregation level, must be bit-identical. Rebalance is off because the
-// batched path intentionally defers the cadence to burst end; with a
-// nonzero interval the rebalance would land mid-burst on one side and
-// post-burst on the other.
+// aggregation level, must be bit-identical.
 TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
-  const ShardedServerConfig config =
-      HammerConfig(/*num_shards=*/4, /*rebalance_interval=*/0);
+  const ShardedServerConfig config = HammerConfig(/*num_shards=*/4);
   ShardedCacheServer sequential(config);
   ShardedCacheServer batched(config);
   for (ShardedCacheServer* server : {&sequential, &batched}) {
@@ -432,8 +364,7 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
 // shards' statistics must not lose updates: the exact MergedStats tally has
 // to equal the sum of what threads issued.
 TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
-  ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
-                                         /*rebalance_interval=*/2048));
+  ShardedCacheServer server(HammerConfig(/*num_shards=*/4));
   server.AddApp(kAppA, kReservationA);
   server.AddApp(kAppB, kReservationB);
 
@@ -483,15 +414,15 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
 
   const ClassStats merged = server.MergedStats();
   EXPECT_EQ(merged.gets, issued_gets.load());
-  EXPECT_EQ(SumShardReservations(server, kAppA), kReservationA);
-  EXPECT_EQ(SumShardReservations(server, kAppB), kReservationB);
+  ExpectAddAppSplit(server, kAppA, kReservationA);
+  ExpectAddAppSplit(server, kAppB, kReservationB);
 }
 
 // Tenant churn races traffic: one thread adds and removes apps (holding
 // all shard locks per wave) while workers hammer the whole id space —
 // including ids mid-removal and ids never added, which must soft-fail.
 // Afterwards every queue/arena invariant must hold, each surviving
-// tenant's shards must still sum to its registered reservation, the
+// tenant's shards must still hold AddApp's split of its reservation, the
 // server-wide total must match the arithmetic of the churn, and each
 // survivor must have counted exactly the GETs that reached it.
 TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
@@ -499,8 +430,7 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
   constexpr size_t kOpsPerThread = 20000;
   constexpr uint32_t kInitialApps = 8;
   constexpr uint32_t kWaves = 24;
-  ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
-                                         /*rebalance_interval=*/10000));
+  ShardedCacheServer server(HammerConfig(/*num_shards=*/4));
   const auto reservation_for = [](uint32_t id) {
     return (1ULL << 20) + id * 4096;
   };
@@ -542,7 +472,7 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
   }
 
   // Churn on the main thread while the workers run: retire the oldest
-  // tenant, admit a fresh one, rebalance every few waves.
+  // tenant, admit a fresh one.
   uint32_t next_id = kInitialApps + 1;
   for (uint32_t wave = 0; wave < kWaves; ++wave) {
     const uint32_t departing = live.front();
@@ -553,7 +483,6 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
     live.push_back(next_id);
     expected_total += reservation_for(next_id);
     ++next_id;
-    if (wave % 4 == 3) server.Rebalance();
     if (running.load(std::memory_order_acquire) == 0) {
       // Workers already done — keep churning anyway; the remaining waves
       // still exercise removal with zero in-flight traffic.
@@ -566,7 +495,7 @@ TEST(ShardedServerTest, TenantChurnUnderTrafficKeepsInvariants) {
   EXPECT_EQ(server.TotalReservation(), expected_total);
   for (const uint32_t id : live) {
     EXPECT_EQ(server.AppReservation(id), reservation_for(id));
-    EXPECT_EQ(SumShardReservations(server, id), reservation_for(id));
+    ExpectAddAppSplit(server, id, reservation_for(id));
   }
   // Ops that raced a registration or a removal soft-failed uncounted, so
   // each survivor's statistics are exactly the GETs that reached it.

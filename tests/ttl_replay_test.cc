@@ -147,7 +147,6 @@ ClassStats RunSharded(const Trace& trace, uint32_t app_id,
   ShardedServerConfig config;
   config.server = DefaultServerConfig();
   config.num_shards = num_shards;
-  config.rebalance_interval_ops = 10000;
   ShardedCacheServer server(config);
   for (const uint32_t app : kApps) server.AddApp(app, kReservation);
   ReplayLikeSimulator(server, trace);
@@ -178,8 +177,8 @@ TEST(TtlReplay, SimulatorAndDirectLoopAgreeExactly) {
 }
 
 // With no evictions, residency is a pure function of the per-key op/TTL
-// history — splitting the key space across shards (and rebalancing the
-// reservation splits mid-replay) must not move a single hit.
+// history — splitting the key space across shards must not move a single
+// hit.
 TEST(TtlReplay, ShardingPreservesPerAppTtlHitCounts) {
   const Trace trace = MakeTtlTrace();
   for (const uint32_t app : kApps) {
