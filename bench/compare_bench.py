@@ -16,24 +16,16 @@ candidate file and compares them per metric. Two tiers of comparison:
     the goldens under bench/baselines/metrics/ are diffed at zero
     tolerance.
 
-Custom specs via --metric NAME[:DIRECTION[:TOL_PCT]] (repeatable) where
-DIRECTION is higher | lower | exact; NAME may be `throughput` or any
-numeric result field (e.g. `hit_rate`, `miss_reduction`, `ns_per_op`).
-
 All failing rows and metrics are reported before exiting — a second
 regression is never masked behind the first.
 
 Usage:
     compare_bench.py BASELINE.json CANDIDATE.json [--threshold PCT]
-                     [--require-improvement PCT] [--exact]
-                     [--metric SPEC ...]
+    compare_bench.py BASELINE.json CANDIDATE.json --exact
     compare_bench.py --selftest
 
-`--require-improvement PCT` additionally demands that the *geometric mean*
-of the first ratio-style metric improved by at least PCT percent — used to
-assert a claimed optimization actually landed, not just that nothing
-regressed. `--selftest` runs the built-in self-checks (no pytest needed)
-and is exercised by the metrics-regression CI job.
+`--selftest` runs the built-in self-checks (no pytest needed) and is
+exercised by the metrics-regression CI job.
 """
 
 import argparse
@@ -87,27 +79,6 @@ def is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def metric_value(row, metric):
-    if metric == "throughput":
-        return throughput(row)
-    v = row.get(metric)
-    return float(v) if is_number(v) else None
-
-
-def parse_metric_spec(text, default_tol):
-    parts = text.split(":")
-    if not 1 <= len(parts) <= 3 or not parts[0]:
-        raise CompareError(f"bad --metric spec {text!r} "
-                           "(want NAME[:DIRECTION[:TOL_PCT]])")
-    name = parts[0]
-    direction = parts[1] if len(parts) > 1 else "higher"
-    if direction not in ("higher", "lower", "exact"):
-        raise CompareError(f"bad direction {direction!r} in --metric {text!r} "
-                           "(want higher | lower | exact)")
-    tol = float(parts[2]) if len(parts) > 2 else default_tol
-    return name, direction, tol
-
-
 def deterministic_fields(base_row, cand_row):
     """Numeric fields shared by both rows that --exact should pin."""
     fields = []
@@ -121,10 +92,11 @@ def deterministic_fields(base_row, cand_row):
     return fields
 
 
-def compare_docs(base_doc, cand_doc, specs, exact_all,
-                 require_improvement, base_label="baseline",
-                 cand_label="candidate", emit=print):
-    """Compare two loaded benchmark docs.
+def compare_docs(base_doc, cand_doc, exact_all, threshold=10.0,
+                 base_label="baseline", cand_label="candidate", emit=print):
+    """Compare two loaded benchmark docs: field by field with `exact_all`,
+    else by throughput, failing a row that lost more than `threshold`
+    percent.
 
     Returns the list of failure strings (empty = pass). Structural errors
     raise CompareError. Every failing row/metric is collected; nothing
@@ -165,47 +137,30 @@ def compare_docs(base_doc, cand_doc, specs, exact_all,
             else:
                 emit(f"{name:<{width}}  exact match "
                      f"({len(fields)} fields)")
+        return failures
 
-    geomean_done = False
-    for metric, direction, tol in specs:
-        if direction == "exact":
-            for name in matched:
-                b = base[name].get(metric)
-                c = cand[name].get(metric)
-                if b != c:
-                    failures.append(
-                        f"{name}: {metric} changed {b!r} -> {c!r}")
+    log_ratios = []
+    emit(f"{'row':<{width}}  {'baseline':>12}  {'candidate':>12}  "
+         f"{'delta':>8}   [throughput]")
+    for name in matched:
+        b = throughput(base[name])
+        c = throughput(cand[name])
+        if b is None or c is None or b <= 0 or c <= 0:
+            emit(f"{name:<{width}}  (no comparable 'throughput' metric)")
             continue
-        sign = 1.0 if direction == "higher" else -1.0
-        log_ratios = []
-        emit(f"{'row':<{width}}  {'baseline':>12}  {'candidate':>12}  "
-             f"{'delta':>8}   [{metric}]")
-        for name in matched:
-            b = metric_value(base[name], metric)
-            c = metric_value(cand[name], metric)
-            if b is None or c is None or b <= 0 or c <= 0:
-                emit(f"{name:<{width}}  (no comparable {metric!r} metric)")
-                continue
-            delta_pct = sign * (c / b - 1.0) * 100.0
-            log_ratios.append(sign * math.log(c / b))
-            flag = ""
-            if delta_pct < -tol:
-                failures.append(f"{name}: {metric} regressed "
-                                f"{delta_pct:+.1f}% (threshold -{tol:.1f}%)")
-                flag = "  <-- REGRESSION"
-            emit(f"{name:<{width}}  {b:>12.4f}  {c:>12.4f}  "
-                 f"{delta_pct:>+7.1f}%{flag}")
-        if log_ratios:
-            gmean_pct = (math.exp(sum(log_ratios) / len(log_ratios)) - 1.0) \
-                * 100
-            emit(f"geometric-mean {metric} delta: {gmean_pct:+.1f}% "
-                 f"over {len(log_ratios)} rows")
-            if (require_improvement is not None and not geomean_done
-                    and gmean_pct < require_improvement):
-                failures.append(
-                    f"geomean {metric} {gmean_pct:+.1f}% is below the "
-                    f"required +{require_improvement:.1f}%")
-            geomean_done = True
+        delta_pct = (c / b - 1.0) * 100.0
+        log_ratios.append(math.log(c / b))
+        flag = ""
+        if delta_pct < -threshold:
+            failures.append(f"{name}: throughput regressed "
+                            f"{delta_pct:+.1f}% (threshold -{threshold:.1f}%)")
+            flag = "  <-- REGRESSION"
+        emit(f"{name:<{width}}  {b:>12.4f}  {c:>12.4f}  "
+             f"{delta_pct:>+7.1f}%{flag}")
+    if log_ratios:
+        gmean_pct = (math.exp(sum(log_ratios) / len(log_ratios)) - 1.0) * 100
+        emit(f"geometric-mean throughput delta: {gmean_pct:+.1f}% "
+             f"over {len(log_ratios)} rows")
     return failures
 
 
@@ -225,9 +180,8 @@ def selftest():
 
     quiet = lambda *_args, **_kw: None
 
-    def run(base, cand, specs=(), exact=False, require=None):
-        return compare_docs(doc(base), doc(cand), list(specs), exact,
-                            require, emit=quiet)
+    def run(base, cand, exact=False):
+        return compare_docs(doc(base), doc(cand), exact, emit=quiet)
 
     def identical_exact_passes():
         rows = [{"name": "a", "hit_rate": 0.53125, "seconds": 1.0},
@@ -261,7 +215,7 @@ def selftest():
         cand = [{"name": "a", "ops_per_sec": 50.0},
                 {"name": "b", "ops_per_sec": 98.0},
                 {"name": "c", "ops_per_sec": 40.0}]
-        fails = run(base, cand, specs=[("throughput", "higher", 10.0)])
+        fails = run(base, cand)
         assert len(fails) == 2, fails
         assert any(f.startswith("a:") for f in fails), fails
         assert any(f.startswith("c:") for f in fails), fails
@@ -269,54 +223,21 @@ def selftest():
     def threshold_tolerates_small_regression():
         base = [{"name": "a", "ops_per_sec": 100.0}]
         cand = [{"name": "a", "ops_per_sec": 95.0}]
-        assert run(base, cand, specs=[("throughput", "higher", 10.0)]) == []
-
-    def lower_is_better_direction():
-        base = [{"name": "a", "ns_per_op": 100.0}]
-        cand = [{"name": "a", "ns_per_op": 150.0}]
-        fails = run(base, cand, specs=[("ns_per_op", "lower", 10.0)])
-        assert len(fails) == 1 and "ns_per_op" in fails[0], fails
-
-    def named_metric_compares_hit_rate():
-        base = [{"name": "a", "hit_rate": 0.50}]
-        cand = [{"name": "a", "hit_rate": 0.40}]
-        fails = run(base, cand, specs=[("hit_rate", "higher", 5.0)])
-        assert len(fails) == 1 and "hit_rate" in fails[0], fails
-
-    def require_improvement_bites():
-        base = [{"name": "a", "ops_per_sec": 100.0}]
-        cand = [{"name": "a", "ops_per_sec": 101.0}]
-        fails = run(base, cand, specs=[("throughput", "higher", 10.0)],
-                    require=5.0)
-        assert len(fails) == 1 and "geomean" in fails[0], fails
+        assert run(base, cand) == []
 
     def structural_error_raises():
         try:
-            compare_docs({"benchmark": "x"}, doc([{"name": "a"}]),
-                         [], False, None, emit=quiet)
+            compare_docs({"benchmark": "x"}, doc([{"name": "a"}]), False,
+                         emit=quiet)
         except CompareError:
             return
         raise AssertionError("missing results array not rejected")
-
-    def spec_parsing():
-        assert parse_metric_spec("hit_rate", 10.0) == \
-            ("hit_rate", "higher", 10.0)
-        assert parse_metric_spec("ns_per_op:lower:2.5", 10.0) == \
-            ("ns_per_op", "lower", 2.5)
-        assert parse_metric_spec("hit_rate:exact", 10.0)[1] == "exact"
-        try:
-            parse_metric_spec("x:sideways", 10.0)
-        except CompareError:
-            return
-        raise AssertionError("bad direction not rejected")
 
     for fn in (identical_exact_passes, ulp_drift_fails_exact_and_names_row,
                exact_ignores_timing_noise, exact_flags_missing_row,
                all_regressions_reported_not_just_first,
                threshold_tolerates_small_regression,
-               lower_is_better_direction, named_metric_compares_hit_rate,
-               require_improvement_bites, structural_error_raises,
-               spec_parsing):
+               structural_error_raises):
         check(fn.__name__, fn)
 
     bad = [(label, err) for label, err in checks if err]
@@ -331,17 +252,8 @@ def main():
     parser.add_argument("baseline", nargs="?")
     parser.add_argument("candidate", nargs="?")
     parser.add_argument("--threshold", type=float, default=10.0,
-                        help="max tolerated per-row regression in percent "
-                             "for ratio-style metrics (default: 10)")
-    parser.add_argument("--require-improvement", type=float, default=None,
-                        metavar="PCT",
-                        help="also fail unless the geometric-mean improvement "
-                             "of the first ratio metric is at least PCT "
-                             "percent")
-    parser.add_argument("--metric", action="append", default=[],
-                        metavar="NAME[:DIRECTION[:TOL_PCT]]",
-                        help="metric spec (repeatable); DIRECTION is "
-                             "higher | lower | exact")
+                        help="max tolerated per-row throughput regression "
+                             "in percent (default: 10)")
     parser.add_argument("--exact", action="store_true",
                         help="require every shared deterministic numeric "
                              "field to match bit-exactly (golden-metrics "
@@ -357,12 +269,9 @@ def main():
                      "(or use --selftest)")
 
     try:
-        specs = [parse_metric_spec(s, args.threshold) for s in args.metric]
-        if not specs and not args.exact:
-            specs = [("throughput", "higher", args.threshold)]
         failures = compare_docs(load_doc(args.baseline),
                                 load_doc(args.candidate),
-                                specs, args.exact, args.require_improvement,
+                                args.exact, args.threshold,
                                 base_label=args.baseline,
                                 cand_label=args.candidate)
     except CompareError as e:

@@ -72,8 +72,8 @@ struct ItemMeta {
 inline constexpr uint32_t kKeepExpiry = UINT32_MAX;
 
 // Minimal queue interface shared by the slab-class queue and the
-// alternative eviction schemes (ARC, LFU) so the server and the benches can
-// swap them freely.
+// alternative eviction schemes (ARC, the global log) so the server and the
+// benches can swap them freely.
 class ClassQueue {
  public:
   virtual ~ClassQueue() = default;

@@ -5,7 +5,6 @@
 
 #include "cache/arc_queue.h"
 #include "cache/global_log_queue.h"
-#include "cache/lfu_queue.h"
 #include "cache/slab_class_queue.h"
 #include "util/hashing.h"
 
@@ -40,7 +39,6 @@ struct AppCache::ClassEntry {
   std::unique_ptr<CliffScaler> scaler;
   std::unique_ptr<ClassAdapter> adapter;
   size_t climber_index = 0;
-  bool in_climber = false;
   ClassStats stats;
 };
 
@@ -111,9 +109,6 @@ AppCache::ClassEntry& AppCache::GetOrCreateEntry(int slab_class) {
     case EvictionScheme::kArc:
       entry->queue = std::make_unique<ArcQueue>(chunk);
       break;
-    case EvictionScheme::kLfu:
-      entry->queue = std::make_unique<LfuQueue>(chunk);
-      break;
     case EvictionScheme::kGlobalLog:
       entry->queue = std::make_unique<GlobalLogQueue>(0);
       break;
@@ -146,7 +141,6 @@ AppCache::ClassEntry& AppCache::GetOrCreateEntry(int slab_class) {
           std::max<uint64_t>(config_.page_size, 4ULL * chunk);
       entry->adapter = std::make_unique<ClassAdapter>(entry.get(), min_bytes);
       entry->climber_index = climber_->AddQueue(entry->adapter.get());
-      entry->in_climber = true;
     }
   }
 
@@ -588,11 +582,6 @@ void AppCache::SetReservation(uint64_t bytes) {
   reservation_ = bytes;
 }
 
-void AppCache::ResizeReservation(uint64_t bytes) {
-  registered_bytes_ = bytes;
-  SetReservation(bytes);
-}
-
 bool AppCache::CheckInvariants() const {
   for (const auto& entry : classes_) {
     if (entry && entry->partitioned != nullptr &&
@@ -607,6 +596,11 @@ bool AppCache::CheckInvariants() const {
   if (config_.allocation != AllocationMode::kStatic &&
       config_.eviction != EvictionScheme::kGlobalLog &&
       allocated_bytes() + free_bytes_ != reservation_) {
+    return false;
+  }
+  // Only the cross-app climber (and the RemoveApp redistribution that
+  // comes with it) moves a live reservation off the registered one.
+  if (cross_adapter_ == nullptr && reservation_ != registered_bytes_) {
     return false;
   }
   return true;
@@ -637,10 +631,7 @@ ClassStats AppCache::TotalStats() const {
 // --- CacheServer ---
 
 // Climber surface for a whole application (cross-app mode): "queue size" is
-// the app's reservation. The floor is computed live from the registered
-// (administrative) reservation, so an admin resize through ResizeReservation
-// moves the floor with it — a frozen construction-time floor goes stale the
-// first time a tenant is resized.
+// the app's reservation, and the floor derives from the registered one.
 class CacheServer::AppAdapter final : public ClimbableQueue {
  public:
   AppAdapter(AppCache* app, uint64_t page_size)
@@ -681,16 +672,8 @@ AppCache& CacheServer::AddApp(uint32_t app_id, uint64_t reservation) {
   AppCache* raw = app.get();
   apps_.emplace(app_id, std::move(app));
   if (cross_climber_) {
-    auto adapter = std::make_unique<AppAdapter>(raw, config_.page_size);
-    const size_t index = cross_climber_->AddQueue(adapter.get());
-    raw->cross_index_ = index;  // cached for the hot GET path
-    if (index == app_adapters_.size()) {
-      app_adapters_.push_back(std::move(adapter));
-    } else {
-      // The climber handed back a slot freed by RemoveApp.
-      assert(index < app_adapters_.size() && app_adapters_[index] == nullptr);
-      app_adapters_[index] = std::move(adapter);
-    }
+    raw->cross_adapter_ = std::make_unique<AppAdapter>(raw, config_.page_size);
+    raw->cross_index_ = cross_climber_->AddQueue(raw->cross_adapter_.get());
   }
   return *raw;
 }
@@ -702,11 +685,7 @@ bool CacheServer::RemoveApp(uint32_t app_id) {
   assert(departing->value_store() == nullptr ||
          departing->value_store()->leases() == 0);
   const uint64_t freed = departing->reservation();
-  if (cross_climber_) {
-    const size_t index = departing->cross_index_;
-    cross_climber_->RemoveQueue(index);
-    app_adapters_[index] = nullptr;
-  }
+  if (cross_climber_) cross_climber_->RemoveQueue(departing->cross_index_);
   // Destroying the AppCache tears down every class queue (physical + shadow
   // nodes) and the value store's arenas — the departing tenant's memory is
   // reclaimed eagerly, not lazily via eviction pressure.

@@ -1,6 +1,6 @@
 // CacheServer: a multi-tenant memcached-style server with pluggable memory
 // allocation (FCFS default / static / Cliffhanger) and eviction schemes
-// (LRU, Facebook midpoint, ARC, LFU, log-structured global LRU).
+// (LRU, Facebook midpoint, ARC, log-structured global LRU).
 //
 // This is the library's top-level public API: add applications with memory
 // reservations, feed Get/Set/Delete operations, and inspect per-class and
@@ -37,7 +37,6 @@ enum class EvictionScheme : uint8_t {
   kLru,        // memcached default
   kMidpoint,   // Facebook's hybrid insertion (§5.5)
   kArc,        // ARC per slab class (§5.5)
-  kLfu,        // LFU per slab class
   kGlobalLog,  // one global LRU per app at 100% utilization (Table 2)
 };
 
@@ -189,23 +188,22 @@ class AppCache {
 
   // Fixed allocation for AllocationMode::kStatic (bytes per slab class).
   void SetStaticAllocation(const std::map<int, uint64_t>& bytes_per_class);
-  // Cross-app climbing resizes reservations through this.
+  // Cross-app climbing resizes reservations through this: a windfall or
+  // squeeze of the live reservation that leaves the registered one (and
+  // thus the climber floor) unchanged.
   void SetReservation(uint64_t bytes);
-  // Administrative resize: updates the *registered* (paid) reservation —
-  // the basis of the climber floor — and the live reservation together.
-  // SetReservation alone is a climber-side windfall/squeeze that leaves the
-  // registered size (and thus the floor) unchanged.
-  void ResizeReservation(uint64_t bytes);
 
   // Structural self-check: per-class queue invariants, value-store
-  // consistency, and (outside kStatic / kGlobalLog) conservation of the
-  // reservation: allocated + free == reservation. Test/debug only.
+  // consistency, (outside kStatic / kGlobalLog) conservation of the
+  // reservation: allocated + free == reservation, and (outside cross-app
+  // climbing, the only mover) reservation == registered_reservation.
+  // Test/debug only.
   [[nodiscard]] bool CheckInvariants() const;
 
   [[nodiscard]] uint32_t app_id() const { return app_id_; }
   [[nodiscard]] uint64_t reservation() const { return reservation_; }
-  // The administratively assigned reservation (AddApp / ResizeReservation).
-  // The live reservation() drifts from it under cross-app climbing.
+  // The reservation AddApp registered; nothing changes it. The live
+  // reservation() drifts from it under cross-app climbing.
   [[nodiscard]] uint64_t registered_reservation() const {
     return registered_bytes_;
   }
@@ -267,11 +265,13 @@ class AppCache {
 
   uint32_t app_id_;
   uint64_t reservation_;
-  uint64_t registered_bytes_;  // administrative reservation; floors derive
-                               // from this, not from climber windfalls
+  const uint64_t registered_bytes_;  // floors derive from this, not from
+                                     // climber windfalls
   uint64_t free_bytes_;
-  // Slot in the server's cross-app climber/adapters table (cross_app only).
-  // Cached here so the hot GET path never does a map lookup.
+  // Cross-app mode only: this app's surface to the server's cross-app
+  // climber (a CacheServer::AppAdapter), and its slot there, cached so the
+  // hot GET path never does a map lookup.
+  std::unique_ptr<ClimbableQueue> cross_adapter_;
   size_t cross_index_ = 0;
   // Value copy, not a reference into the owning server, so the tenant's
   // config can never dangle regardless of how the caller constructed the
@@ -355,10 +355,9 @@ class CacheServer {
 
   ServerConfig config_;
   std::map<uint32_t, std::unique_ptr<AppCache>> apps_;
+  // Points at the apps' cross_adapter_s: declared after apps_, so it is
+  // destroyed first and never reads a destroyed adapter.
   std::unique_ptr<HillClimber> cross_climber_;
-  // Indexed by HillClimber slot; tombstoned (nullptr) after RemoveApp until
-  // a later AddApp reuses the slot.
-  std::vector<std::unique_ptr<AppAdapter>> app_adapters_;
 };
 
 }  // namespace cliffhanger

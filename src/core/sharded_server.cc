@@ -13,14 +13,14 @@ struct alignas(64) ShardedCacheServer::Shard {
 };
 
 ShardedCacheServer::ShardedCacheServer(const ShardedServerConfig& config)
-    : config_(config), num_shards_(std::max<size_t>(1, config.num_shards)) {
+    : num_shards_(std::max<size_t>(1, config.num_shards)) {
   shards_.reserve(num_shards_);
   for (size_t i = 0; i < num_shards_; ++i) {
     auto shard = std::make_unique<Shard>();
-    ServerConfig shard_config = config_.server;
+    ServerConfig shard_config = config.server;
     // Decorrelate the shards' controller RNG streams (Algorithm 1 picks
     // random victims; identical streams would move memory in lockstep).
-    shard_config.seed = HashCombine(config_.server.seed, 0x5AD0000 + i);
+    shard_config.seed = HashCombine(config.server.seed, 0x5AD0000 + i);
     shard->server = std::make_unique<CacheServer>(shard_config);
     shards_.push_back(std::move(shard));
   }
@@ -29,27 +29,22 @@ ShardedCacheServer::ShardedCacheServer(const ShardedServerConfig& config)
 ShardedCacheServer::~ShardedCacheServer() = default;
 
 void ShardedCacheServer::AddApp(uint32_t app_id, uint64_t reservation) {
-  std::lock_guard<std::mutex> apps_lock(apps_mu_);
-  assert(app_totals_.find(app_id) == app_totals_.end());
-  app_totals_[app_id] = reservation;
+  const auto locks = LockAllShards();
   // Largest-remainder split: every shard gets floor(total/N), the first
   // (total % N) shards one byte more, so the shares sum to the total. The
   // split is final: nothing re-divides an app across shards.
   const uint64_t base = reservation / num_shards_;
   const uint64_t remainder = reservation % num_shards_;
   for (size_t i = 0; i < num_shards_; ++i) {
-    const uint64_t share = base + (i < remainder ? 1 : 0);
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    shards_[i]->server->AddApp(app_id, share);
+    shards_[i]->server->AddApp(app_id, base + (i < remainder ? 1 : 0));
   }
 }
 
 bool ShardedCacheServer::RemoveApp(uint32_t app_id) {
-  std::lock_guard<std::mutex> apps_lock(apps_mu_);
-  const auto it = app_totals_.find(app_id);
-  if (it == app_totals_.end()) return false;
-  app_totals_.erase(it);
   const auto locks = LockAllShards();
+  // AddApp and RemoveApp change every shard under every lock, so shard 0
+  // speaks for all of them.
+  if (shards_[0]->server->app(app_id) == nullptr) return false;
   for (const auto& shard : shards_) shard->server->RemoveApp(app_id);
   return true;
 }
@@ -176,13 +171,14 @@ ClassStats ShardedCacheServer::AppStats(uint32_t app_id) const {
   return total;
 }
 
-// The total AddApp registered, read under apps_mu_ alone — monitoring
-// callers must not stall all N shards for it. AddApp's per-shard split of
-// it is what sharded_server_test checks via AppShardReservation.
 uint64_t ShardedCacheServer::AppReservation(uint32_t app_id) const {
-  std::lock_guard<std::mutex> apps_lock(apps_mu_);
-  const auto it = app_totals_.find(app_id);
-  return it == app_totals_.end() ? 0 : it->second;
+  const auto locks = LockAllShards();
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    const AppCache* app = shard->server->app(app_id);
+    if (app != nullptr) total += app->registered_reservation();
+  }
+  return total;
 }
 
 uint64_t ShardedCacheServer::AppShardReservation(uint32_t app_id,
@@ -194,15 +190,11 @@ uint64_t ShardedCacheServer::AppShardReservation(uint32_t app_id,
 }
 
 std::vector<uint32_t> ShardedCacheServer::app_ids() const {
-  std::lock_guard<std::mutex> apps_lock(apps_mu_);
-  std::vector<uint32_t> ids;
-  ids.reserve(app_totals_.size());
-  for (const auto& [id, total] : app_totals_) ids.push_back(id);
-  return ids;
+  std::lock_guard<std::mutex> lock(shards_[0]->mu);
+  return shards_[0]->server->app_ids();
 }
 
 uint64_t ShardedCacheServer::TotalReservation() const {
-  std::lock_guard<std::mutex> apps_lock(apps_mu_);
   const auto locks = LockAllShards();
   uint64_t total = 0;
   for (const auto& shard : shards_) {
@@ -212,25 +204,11 @@ uint64_t ShardedCacheServer::TotalReservation() const {
 }
 
 bool ShardedCacheServer::CheckInvariants() const {
-  std::lock_guard<std::mutex> apps_lock(apps_mu_);
   const auto locks = LockAllShards();
+  const std::vector<uint32_t> ids = shards_[0]->server->app_ids();
   for (const auto& shard : shards_) {
+    if (shard->server->app_ids() != ids) return false;
     if (!shard->server->CheckInvariants()) return false;
-  }
-  const bool cross_app =
-      config_.server.allocation == AllocationMode::kCliffhanger &&
-      config_.server.knobs.cross_app;
-  if (!cross_app) {
-    // Static per-app totals: every app's shard shares must sum to its
-    // registered reservation (AddApp splits it; nothing moves it).
-    for (const auto& [app_id, total] : app_totals_) {
-      uint64_t sum = 0;
-      for (const auto& shard : shards_) {
-        const AppCache* app = shard->server->app(app_id);
-        if (app != nullptr) sum += app->reservation();
-      }
-      if (sum != total) return false;
-    }
   }
   return true;
 }

@@ -23,11 +23,14 @@
 //    locks are free first; CacheAdapter does, so under contention the
 //    order in which one of its bursts reaches different shards (and draws
 //    CAS values there) follows lock availability.
-//  - Statistics have one set of books: each shard's CacheServer counts its
-//    own, under its lock. MergedStats() and the per-app accessors take
+//  - Statistics and tenants have one set of books: each shard's CacheServer
+//    counts its own statistics and holds its own AppCache per tenant,
+//    under its lock. MergedStats(), AppStats() and AppReservation() take
 //    every shard lock (in index order) for an exact, mutually consistent
-//    snapshot; ShardStats() takes one. No cache verb takes more than one
-//    shard lock: only these snapshots and RemoveApp take them all.
+//    snapshot; ShardStats(), AppShardReservation() and app_ids() take one.
+//    No cache verb takes more than one shard lock: only these snapshots,
+//    AddApp and RemoveApp take them all, so a routed op finds an app on
+//    every shard or on none.
 //  - AddApp splits an application's reservation across the shards once
 //    (largest remainder, so the shares sum to the registered total), and
 //    the split is final. Keys are hash-partitioned, so the shards see
@@ -67,18 +70,17 @@ class ShardedCacheServer {
   ShardedCacheServer(const ShardedCacheServer&) = delete;
   ShardedCacheServer& operator=(const ShardedCacheServer&) = delete;
 
-  // Registers the app on every shard, splitting `reservation` across them.
-  // Not safe to call concurrently with traffic for the same app: finish
-  // registration before serving it (as with CacheServer::AddApp).
+  // Registers the app on every shard under every shard lock, splitting
+  // `reservation` across them. The app must not be registered already.
   void AddApp(uint32_t app_id, uint64_t reservation);
 
-  // Tenant departure: removes the app from every shard (queues, shadow
-  // nodes and value slots are reclaimed eagerly by the per-shard
-  // CacheServer::RemoveApp). Safe to call concurrently with traffic —
-  // in-flight ops that already routed to the app soft-fail once the shard
-  // lock serializes them behind the removal. In cross-app mode each shard
-  // redistributes the departing share to its surviving tenants, conserving
-  // the shard total. Returns false for an unknown app.
+  // Tenant departure: removes the app from every shard under every shard
+  // lock (queues, shadow nodes and value slots are reclaimed eagerly by
+  // the per-shard CacheServer::RemoveApp). In-flight ops that already
+  // routed to the app soft-fail once the shard lock serializes them behind
+  // the removal. In cross-app mode each shard redistributes the departing
+  // share to its surviving tenants, conserving the shard total. Returns
+  // false for an unknown app.
   bool RemoveApp(uint32_t app_id);
 
   // Thread-safe routed operations: each runs the CacheServer verb of the
@@ -198,10 +200,12 @@ class ShardedCacheServer {
   };
   [[nodiscard]] ValueStats MergedValueStats() const;
 
-  // Per-app views. AppStats holds every shard lock for a consistent
-  // cross-shard sum; AppReservation is the total AddApp registered (no
-  // shard lock); AppShardReservation reads one shard's current share,
-  // which under cross_app the shard's cross-app climber moves.
+  // Per-app views. AppStats and AppReservation hold every shard lock for a
+  // consistent cross-shard sum; AppReservation sums the shards' registered
+  // shares, which is the total AddApp registered (0 for an unknown app).
+  // AppShardReservation reads one shard's current share, which under
+  // cross_app the shard's cross-app climber moves. app_ids() reads shard 0,
+  // which holds the same apps as every other shard.
   [[nodiscard]] ClassStats AppStats(uint32_t app_id) const;
   [[nodiscard]] uint64_t AppReservation(uint32_t app_id) const;
   [[nodiscard]] uint64_t AppShardReservation(uint32_t app_id,
@@ -218,26 +222,22 @@ class ShardedCacheServer {
   // at least one tenant survives).
   [[nodiscard]] uint64_t TotalReservation() const;
 
-  // Runs every shard's CacheServer::CheckInvariants under all locks; with
-  // cross_app off additionally checks that each app's shard shares sum to
-  // its registered total. Test/debug only.
+  // Under all locks, checks that every shard holds the same app ids and
+  // runs every shard's CacheServer::CheckInvariants (which, with cross_app
+  // off, pins each share at its registered size). Test/debug only.
   [[nodiscard]] bool CheckInvariants() const;
 
  private:
   struct Shard;
 
   // Acquires every shard mutex in ascending index order (the lock-order
-  // rule); RemoveApp and every whole-server snapshot go through this.
+  // rule); AddApp, RemoveApp and every whole-server snapshot go through
+  // this.
   [[nodiscard]] std::vector<std::unique_lock<std::mutex>> LockAllShards()
       const;
 
-  ShardedServerConfig config_;
   size_t num_shards_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Lock order: apps_mu_ first, then shard mutexes in ascending index order.
-  mutable std::mutex apps_mu_;
-  std::map<uint32_t, uint64_t> app_totals_;  // registered reservation per app
 };
 
 }  // namespace cliffhanger

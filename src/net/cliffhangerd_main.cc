@@ -54,7 +54,7 @@ void Usage(const char* argv0) {
       "  --workers N       connection worker threads (default 2)\n"
       "  --shards N        cache shards (default 4)\n"
       "  --mode M          default | cliffhanger (default cliffhanger)\n"
-      "  --eviction E      lru | midpoint (default lru; arc/lfu are\n"
+      "  --eviction E      lru | midpoint (default lru; arc is\n"
       "                    simulation-only — no in-arena value storage)\n"
       "  --app ID:MB       register app ID with MB MiB (repeatable;\n"
       "                    default 1:64)\n"
@@ -116,14 +116,13 @@ int Main(int argc, char** argv) {
         eviction = EvictionScheme::kLru;
       } else if (std::strcmp(v, "midpoint") == 0) {
         eviction = EvictionScheme::kMidpoint;
-      } else if (std::strcmp(v, "arc") == 0 || std::strcmp(v, "lfu") == 0) {
-        // The ARC/LFU queues are simulation-only: they never grew the
-        // value-storage hooks (residency listener, PeekPhysical), so a
-        // daemon serving real bytes cannot run them.
+      } else if (std::strcmp(v, "arc") == 0) {
+        // The ARC queue is simulation-only: it never grew the value-storage
+        // hooks (residency listener, PeekPhysical), so a daemon serving
+        // real bytes cannot run it.
         std::fprintf(stderr,
-                     "--eviction %s is simulation-only; the daemon stores "
-                     "real values and needs lru or midpoint\n",
-                     v);
+                     "--eviction arc is simulation-only; the daemon stores "
+                     "real values and needs lru or midpoint\n");
         return 1;
       } else {
         return Usage(argv[0]), 1;

@@ -123,7 +123,7 @@ bool SocketServer::Start(std::string* error) {
       0) {
     return fail("bind");
   }
-  if (::listen(listen_fd_, config_.backlog) != 0) return fail("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) return fail("listen");
 
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);

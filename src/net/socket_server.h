@@ -135,11 +135,13 @@ inline constexpr size_t kMaxBurstFrames = 64;
 // persist for the connection's lifetime — at 10k connections one large
 // burst each would pin gigabytes).
 inline constexpr size_t kBufferShrinkThreshold = 256 * 1024;
+// listen(2) backlog, memcached's `-b` default: connects that arrive faster
+// than the acceptor takes them wait in the kernel up to this depth.
+inline constexpr int kListenBacklog = 1024;
 
 struct SocketServerConfig {
   uint16_t port = 0;  // 0 = ephemeral; the bound port is port() after Start
   size_t num_workers = 2;
-  int backlog = 128;
 };
 
 class SocketServer {

@@ -3,10 +3,9 @@
 // threaded through arena nodes.
 //
 // These are the hot-path memory primitives shared by every queue structure
-// (SegmentedLru, ArcQueue, LfuQueue): instead of one heap allocation per
-// item (std::list node) plus one per hash entry (std::unordered_map
-// bucket), all nodes of a queue live in one std::vector and link to each
-// other by index. Index links are half the size of pointers, survive pool
+// (SegmentedLru, ArcQueue): instead of one heap allocation per item
+// (std::list node) plus one per hash entry (std::unordered_map bucket), all
+// nodes of a queue live in one std::vector and link to each other by index. Index links are half the size of pointers, survive pool
 // growth (a vector reallocation moves the slab but indexes stay valid), and
 // keep neighbouring nodes in neighbouring cache lines. Freed nodes are
 // recycled LIFO through the free-list, so a steady-state cache — where

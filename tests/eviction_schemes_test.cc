@@ -1,10 +1,9 @@
-// Tests for the alternative eviction schemes: ARC, LFU and the
-// log-structured global LRU.
+// Tests for the alternative eviction schemes: ARC and the log-structured
+// global LRU.
 #include <gtest/gtest.h>
 
 #include "cache/arc_queue.h"
 #include "cache/global_log_queue.h"
-#include "cache/lfu_queue.h"
 #include "util/rng.h"
 
 namespace cliffhanger {
@@ -97,54 +96,6 @@ TEST(ArcQueue, DeleteRemoves) {
   (void)q.Get(Item(1));
   q.Delete(1);
   EXPECT_FALSE(q.Get(Item(1)).hit);
-}
-
-TEST(LfuQueue, KeepsFrequentItems) {
-  LfuQueue q(64);
-  q.SetCapacityBytes(2 * 64);
-  q.Fill(Item(1));
-  q.Fill(Item(2));
-  (void)q.Get(Item(1));
-  (void)q.Get(Item(1));
-  q.Fill(Item(3));  // evicts 2 (freq 1, LRU among freq-1)
-  EXPECT_TRUE(q.Get(Item(1)).hit);
-  EXPECT_FALSE(q.Get(Item(2)).hit);
-  EXPECT_TRUE(q.CheckInvariants());
-}
-
-TEST(LfuQueue, FrequencyTracksHits) {
-  LfuQueue q(64);
-  q.SetCapacityBytes(4 * 64);
-  q.Fill(Item(1));
-  EXPECT_EQ(q.FrequencyOf(1), 1u);
-  (void)q.Get(Item(1));
-  (void)q.Get(Item(1));
-  EXPECT_EQ(q.FrequencyOf(1), 3u);
-  EXPECT_EQ(q.FrequencyOf(99), 0u);
-}
-
-TEST(LfuQueue, CapacityShrinkEvictsLowFrequency) {
-  LfuQueue q(64);
-  q.SetCapacityBytes(4 * 64);
-  for (uint64_t k = 1; k <= 4; ++k) q.Fill(Item(k));
-  (void)q.Get(Item(1));
-  (void)q.Get(Item(2));
-  q.SetCapacityBytes(2 * 64);
-  EXPECT_TRUE(q.Get(Item(1)).hit);
-  EXPECT_TRUE(q.Get(Item(2)).hit);
-  EXPECT_FALSE(q.Get(Item(3)).hit);
-  EXPECT_TRUE(q.CheckInvariants());
-}
-
-TEST(LfuQueue, InvariantsUnderRandomWorkload) {
-  LfuQueue q(64);
-  q.SetCapacityBytes(32 * 64);
-  Rng rng(11);
-  for (int i = 0; i < 30000; ++i) {
-    const ItemMeta item = Item(rng.NextBounded(100));
-    if (!q.Get(item).hit) q.Fill(item);
-  }
-  EXPECT_TRUE(q.CheckInvariants());
 }
 
 TEST(GlobalLogQueue, UsesExactFootprints) {

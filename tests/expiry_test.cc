@@ -1,6 +1,6 @@
 // Lazy-expiration and touch semantics through the library layers: every
 // queue implementation (SlabClassQueue / PartitionedSlabQueue / ArcQueue /
-// LfuQueue / GlobalLogQueue), the AppCache/CacheServer statistics
+// GlobalLogQueue), the AppCache/CacheServer statistics
 // discipline, the ShardedCacheServer, and a TTL-bearing simulator replay. All clocks are
 // per-operation (ItemMeta::now_s) — nothing here sleeps, and every outcome
 // is a deterministic function of the op stream. The exptime normalization
@@ -12,7 +12,6 @@
 
 #include "cache/arc_queue.h"
 #include "cache/global_log_queue.h"
-#include "cache/lfu_queue.h"
 #include "cache/slab_class_queue.h"
 #include "core/sharded_server.h"
 #include "net/cache_adapter.h"
@@ -132,7 +131,7 @@ TEST(PartitionedQueueExpiry, BothSidesHonorExpiry) {
   EXPECT_FALSE(q.Get(At(50, 300)).hit);  // the touch set a real TTL
 }
 
-// --- ARC / LFU / GlobalLog ------------------------------------------------
+// --- ARC / GlobalLog ------------------------------------------------------
 
 TEST(ArcQueueExpiry, ExpiredResidentIsAFullMissNotAGhostHit) {
   ArcQueue q(64);
@@ -159,24 +158,6 @@ TEST(ArcQueueExpiry, TouchPromotesAndExpiredTouchErases) {
   EXPECT_TRUE(q.Touch(At(1, 105, 300)));
   EXPECT_TRUE(q.Get(At(1, 200)).hit);  // extended past 110
   EXPECT_FALSE(q.Touch(At(1, 300, 400)));  // expired at 300: erased
-  EXPECT_TRUE(q.CheckInvariants());
-}
-
-TEST(LfuQueueExpiry, FrequencyHistoryDiesWithTheItem) {
-  LfuQueue q(64);
-  q.SetCapacityBytes(8 * 64);
-  q.Fill(At(1, 100, 110));
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.Get(At(1, 105)).hit);
-  EXPECT_EQ(q.FrequencyOf(1), 6u);
-  const GetResult r = q.Get(At(1, 110));
-  EXPECT_FALSE(r.hit);
-  EXPECT_TRUE(r.expired);
-  EXPECT_EQ(q.FrequencyOf(1), 0u);  // gone
-  EXPECT_FALSE(q.Get(At(1, 110)).expired);  // a plain miss now
-  q.Fill(At(1, 110, 0));
-  EXPECT_EQ(q.FrequencyOf(1), 1u);  // restarts cold
-  EXPECT_TRUE(q.Touch(At(1, 120, 200)));
-  EXPECT_EQ(q.FrequencyOf(1), 2u);  // touch counts as an access
   EXPECT_TRUE(q.CheckInvariants());
 }
 
@@ -470,12 +451,6 @@ TEST(TouchKeepExpiry, SentinelPreservesTheStoredTtlInEveryQueue) {
   arc.Fill(At(1, 100, 110));
   EXPECT_TRUE(arc.Touch(At(1, 105, kKeepExpiry)));
   EXPECT_FALSE(arc.Get(At(1, 110)).hit);
-
-  LfuQueue lfu(64);
-  lfu.SetCapacityBytes(8 * 64);
-  lfu.Fill(At(1, 100, 110));
-  EXPECT_TRUE(lfu.Touch(At(1, 105, kKeepExpiry)));
-  EXPECT_FALSE(lfu.Get(At(1, 110)).hit);
 
   GlobalLogQueue log(1 << 16);
   log.Fill(At(1, 100, 110));

@@ -108,8 +108,8 @@ class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
   std::unique_ptr<net::CacheAdapter> adapter_;
   std::unique_ptr<net::SocketServer> socket_server_;
   std::atomic<uint32_t> fake_now_{0};  // 0 = wall clock
-  // Tests tune knobs (shrink threshold, backlog) here before StartServer;
-  // port is always overridden by the fixture.
+  // Tests tune knobs (worker count) here before StartServer; port is always
+  // overridden by the fixture.
   net::SocketServerConfig net_config_template_;
 };
 
@@ -1099,7 +1099,6 @@ TEST_P(NetE2eTest, ThousandPipelinedConnectionsKeepTranscriptsExact) {
 #else
   constexpr size_t kConns = 1024;
 #endif
-  net_config_template_.backlog = static_cast<int>(kConns);
   StartDefaultServer();
 
   std::vector<net::AsciiClient> clients(kConns);

@@ -18,7 +18,6 @@
 #include "analysis/stack_distance.h"
 #include "cache/arc_queue.h"
 #include "cache/global_log_queue.h"
-#include "cache/lfu_queue.h"
 #include "cache/slab_class_queue.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -377,10 +376,6 @@ TEST(ExpiryInvariants, AllFiveQueuesSurviveExpiryChurn) {
   ArcQueue arc(64);
   arc.SetCapacityBytes(300 * 64);
   ExpiryChurn(arc, [&] { return arc.CheckInvariants(); }, "ArcQueue");
-
-  LfuQueue lfu(64);
-  lfu.SetCapacityBytes(300 * 64);
-  ExpiryChurn(lfu, [&] { return lfu.CheckInvariants(); }, "LfuQueue");
 
   GlobalLogQueue log(300 * 64);
   ExpiryChurn(log, [&] { return log.CheckInvariants(); }, "GlobalLogQueue");

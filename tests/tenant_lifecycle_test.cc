@@ -1,7 +1,8 @@
 // Tenant arrival/departure lifecycle on CacheServer: RemoveApp teardown,
 // cross-app reservation redistribution (largest-remainder, total-conserving),
-// soft-fail semantics for requests racing a departure, and the live floor
-// that AppAdapter recomputes from the registered reservation.
+// soft-fail semantics for requests racing a departure, the floor AppAdapter
+// derives from the registered reservation, and the invariant that only
+// cross-app climbing moves a live reservation off the registered one.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -227,31 +228,55 @@ TEST(TenantLifecycle, OneAppCrossAppMatchesSingleAppBitExactly) {
 
 TEST(TenantLifecycle, AdapterFloorTracksRegisteredReservation) {
   // The cross-app climber may never shrink a tenant below
-  // max(4 pages, registered/8) — and the floor must follow
-  // ResizeReservation, not stay frozen at the AddApp-time value.
+  // max(4 pages, registered/8): an idle tenant beside a busy one ends up
+  // pinned at that floor.
   CacheServer server(CrossAppConfig());
   server.AddApp(1, 64 * 4096);
-  AppCache& idle = server.AddApp(2, 64 * 4096);  // floor = 64*4096/8 = 32 KiB
+  AppCache& idle = server.AddApp(2, 64 * 4096);
   Rng rng(37);
   ZipfTable zipf(8000, 0.9);
-  auto pressure = [&](int ops) {
-    for (int i = 0; i < ops; ++i) {
-      const ItemMeta m = Item(zipf.Sample(rng));
-      if (!server.Get(1, m).hit) server.Set(1, m);
-    }
-  };
-  pressure(200000);
-  const uint64_t kOldFloor = 8 * 4096;  // 64*4096 / 8
-  EXPECT_GE(idle.reservation(), kOldFloor);
-  EXPECT_LE(idle.reservation(), kOldFloor + 4096);  // pinned at the floor
-
-  // Shrink the registered reservation: the floor drops to 4 pages and the
-  // climber can now push the idle tenant further down.
-  idle.ResizeReservation(32 * 4096);
-  pressure(200000);
-  EXPECT_LT(idle.reservation(), kOldFloor);
-  EXPECT_GE(idle.reservation(), 4 * 4096u);
+  for (int i = 0; i < 200000; ++i) {
+    const ItemMeta m = Item(zipf.Sample(rng));
+    if (!server.Get(1, m).hit) server.Set(1, m);
+  }
+  const uint64_t kFloor = 8 * 4096;  // 64*4096 / 8
+  EXPECT_GE(idle.reservation(), kFloor);
+  EXPECT_LE(idle.reservation(), kFloor + 4096);  // pinned at the floor
   EXPECT_TRUE(server.CheckInvariants());
+}
+
+TEST(TenantLifecycle, OnlyCrossAppMovesAReservationOffItsRegisteredSize) {
+  // Without the cross-app climber nothing resizes a tenant after AddApp,
+  // so a live reservation that drifted off the registered one is a broken
+  // invariant. Each drift below keeps allocated + free == reservation, so
+  // only that rule can catch it.
+  constexpr uint64_t kReservation = 64 * 4096;
+  ServerConfig fcfs;
+  fcfs.page_size = 4096;
+
+  CacheServer bare(fcfs);
+  bare.AddApp(1, kReservation).SetReservation(kReservation / 2);
+  EXPECT_FALSE(bare.CheckInvariants());
+
+  ShardedServerConfig sharded_config;
+  sharded_config.server = fcfs;
+  sharded_config.num_shards = 4;
+  ShardedCacheServer sharded(sharded_config);
+  sharded.AddApp(1, kReservation);
+  ASSERT_TRUE(sharded.CheckInvariants());
+  uint64_t key = 0;
+  while (sharded.ShardForKey(key) != 0) ++key;
+  {
+    ShardedCacheServer::ShardBatch batch = sharded.BeginBatch(0);
+    AppCache* shard_app = batch.server(key).app(1);
+    ASSERT_NE(shard_app, nullptr);
+    shard_app->SetReservation(shard_app->reservation() / 2);
+  }
+  EXPECT_FALSE(sharded.CheckInvariants());
+
+  CacheServer cross(CrossAppConfig());
+  cross.AddApp(1, kReservation).SetReservation(kReservation / 2);
+  EXPECT_TRUE(cross.CheckInvariants());
 }
 
 }  // namespace
